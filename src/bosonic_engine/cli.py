@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,7 +22,9 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="bosonic-engine",
         description="Gaussian heat-engine sweeps, cycle traces and relaxation "
@@ -39,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r-max", type=float, dest="r_max")
         p.add_argument("--points", type=int)
         p.add_argument("--output", dest="output_path", help="CSV output path")
-        p.add_argument("--quad-tol", type=float, dest="quad_tol")
+        p.add_argument("--quad-tol", type=float, dest="quad_tol",
+                       help="accepted and validated; no mode integrates a path")
         p.add_argument("--kind", choices=("otto", "generalized"),
                        help="cycle kind for cycle-trace")
         p.add_argument("--r-work", type=float, dest="r_work",

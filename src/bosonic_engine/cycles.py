@@ -6,12 +6,15 @@ work parameter:
 
 * Otto: unitary squeeze 0 -> r at the cold occupancy, relaxation into the
   hot bath (squeezed with the same r) at fixed r, unitary unsqueeze r -> 0,
-  relaxation back into the cold bath.  All four strokes have closed forms.
+  relaxation back into the cold bath.
 * Generalized: the hot-bath contact follows the iso-classicality path
   (n(r) + 1/2) = (n_cold + 1/2) e^{2(r - r_t)} from r_t up to the bath
   squeezing r_R, so the classicality function stays constant while heat is
-  absorbed; work and heat along that stroke come from the path quadrature.
+  absorbed.
 
+All strokes of both cycles have closed forms.  :func:`generalized_ledger`
+books the generalized cycle at a whole array of r_t values at once; the
+sweeps call it over their r grid and :func:`run_generalized` at one point.
 Bath-contact strokes are complete relaxations to the bath steady state
 (infinite-time limit of the moment dynamics).
 """
@@ -33,12 +36,7 @@ from .states import (
     Temperature,
     bose_einstein,
     critical_squeezing,
-)
-from .thermo import (
-    DEFAULT_QUAD_TOL,
-    ThermoPath,
-    internal_energy,
-    work_heat_along,
+    libm_exp,
 )
 
 __all__ = [
@@ -47,19 +45,28 @@ __all__ = [
     "StrokeRecord",
     "ClassicalityTrace",
     "CycleReport",
+    "Ledger",
     "run_otto",
     "run_generalized",
+    "generalized_ledger",
     "otto_efficiency",
     "generalized_r_hot",
     "generalized_efficiency_closed_form",
+    "printed_efficiency",
     "closed_form_terms",
     "carnot_efficiency",
     "classify_region",
+    "classify_regions",
     "report_to_json",
 ]
 
 FIRST_LAW_TOL = 1e-9
 TRACE_POINTS_PER_STROKE = 256
+STROKES = ("squeeze", "hot-contact", "unsqueeze", "cold-contact")
+
+# Overflow, 0/0 and division by zero raise FloatingPointError instead of
+# leaving inf or NaN behind a RuntimeWarning.
+_RAISE = np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 class CycleKind(str, Enum):
@@ -124,16 +131,50 @@ class CycleReport:
     region: str
 
 
-def otto_efficiency(r: float) -> float:
-    """Closed-form Otto efficiency 1 - 1/cosh(2r), temperature independent."""
-    if r < 0.0:
-        raise ValueError(f"squeezing must be >= 0, got {r}")
-    return 1.0 - 1.0 / math.cosh(2.0 * r)
+@dataclass(frozen=True)
+class Ledger:
+    """Checked four-stroke ledger at N working points (the columns).
+
+    ``n`` and ``r`` (5 x N) hold the states A, B, C, D and A again;
+    ``work_on`` and ``heat_in`` (4 x N) the strokes between them, in the
+    order of ``STROKES``.  The totals are length-N arrays.
+    """
+
+    n: np.ndarray
+    r: np.ndarray
+    work_on: np.ndarray
+    heat_in: np.ndarray
+    w_net_extracted: np.ndarray
+    q_hot_in: np.ndarray
+    q_cold_out: np.ndarray
+    efficiency: np.ndarray
+
+
+@_RAISE
+def otto_efficiency(r):
+    """Otto efficiency 1 - 1/cosh(2r), temperature independent.
+
+    Evaluated as tanh(r) tanh(2r), which equals 2 sinh^2 r / cosh 2r
+    without the cancellation of 1 - 1/cosh(2r) at small r and stays
+    finite at large r.  Accepts a float or an array of squeezings.
+    """
+    rs = np.asarray(r, dtype=float)
+    if np.any(rs < 0.0):
+        raise ValueError(f"squeezing must be >= 0, got {rs.min()}")
+    eta = np.tanh(rs) * np.tanh(2.0 * rs)
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def carnot_efficiency(cfg: EngineConfig) -> float:
     """Classical Carnot benchmark 1 - tau_cold/tau_hot."""
     return 1.0 - cfg.tau_cold / cfg.tau_hot
+
+
+def _hot_shift(tau_cold: float, tau_hot: float) -> float:
+    """r_R - r_t = (1/2) ln((n_hot + 1/2)/(n_cold + 1/2))."""
+    n_cold = bose_einstein(tau_cold)
+    n_hot = bose_einstein(tau_hot)
+    return 0.5 * math.log((n_hot + 0.5) / (n_cold + 0.5))
 
 
 def generalized_r_hot(cfg: EngineConfig) -> float:
@@ -142,9 +183,21 @@ def generalized_r_hot(cfg: EngineConfig) -> float:
     r_R = r_t + (1/2) ln((n_hot + 1/2)/(n_cold + 1/2)); equal temperatures
     give r_R = r_t.
     """
-    n_cold = bose_einstein(cfg.tau_cold)
-    n_hot = bose_einstein(cfg.tau_hot)
-    return cfg.r_work + 0.5 * math.log((n_hot + 0.5) / (n_cold + 0.5))
+    return cfg.r_work + _hot_shift(cfg.tau_cold, cfg.tau_hot)
+
+
+@_RAISE
+def _printed_fg(tau_cold: float, tau_hot: float, r_t: np.ndarray):
+    x1 = 1.0 / (2.0 * tau_cold)
+    x2 = 1.0 / (2.0 * tau_hot)
+    coth1 = 1.0 / math.tanh(x1)
+    coth2 = 1.0 / math.tanh(x2)
+    e4 = libm_exp(4.0 * r_t)
+    f = 4.0 * libm_exp(2.0 * r_t) * (coth2 - coth1)
+    g = (e4 * math.tanh(x1) * coth2**2 - coth1) * (
+        e4 - 2.0 * math.log(math.tanh(x1) * coth2)
+    )
+    return f, g
 
 
 def closed_form_terms(cfg: EngineConfig) -> tuple[float, float]:
@@ -156,16 +209,18 @@ def closed_form_terms(cfg: EngineConfig) -> tuple[float, float]:
     faithful record of the printed form.  :func:`run_generalized` is the
     authoritative efficiency.
     """
-    x1 = 1.0 / (2.0 * cfg.tau_cold)
-    x2 = 1.0 / (2.0 * cfg.tau_hot)
-    rt = cfg.r_work
-    coth1 = 1.0 / math.tanh(x1)
-    coth2 = 1.0 / math.tanh(x2)
-    f = 4.0 * math.exp(2.0 * rt) * (coth2 - coth1)
-    g = (math.exp(4.0 * rt) * math.tanh(x1) * coth2**2 - coth1) * (
-        math.exp(4.0 * rt) - 2.0 * math.log(math.tanh(x1) * coth2)
-    )
-    return f, g
+    f, g = _printed_fg(cfg.tau_cold, cfg.tau_hot, np.array([cfg.r_work]))
+    return float(f[0]), float(g[0])
+
+
+@_RAISE
+def printed_efficiency(tau_cold: float, tau_hot: float, r_t: np.ndarray) -> np.ndarray:
+    """Verbatim 1 - f/g of the printed closed form at every r_t of an array.
+
+    Gives 1 where f = 0 (equal temperatures).  Not the ledger efficiency.
+    """
+    f, g = _printed_fg(tau_cold, tau_hot, r_t)
+    return 1.0 - np.divide(f, g, out=np.zeros_like(f), where=f != 0.0)
 
 
 def generalized_efficiency_closed_form(cfg: EngineConfig) -> float:
@@ -173,10 +228,7 @@ def generalized_efficiency_closed_form(cfg: EngineConfig) -> float:
 
     Returns 1 when f = 0 (equal temperatures).  Not the ledger efficiency.
     """
-    f, g = closed_form_terms(cfg)
-    if f == 0.0:
-        return 1.0
-    return 1.0 - f / g
+    return float(printed_efficiency(cfg.tau_cold, cfg.tau_hot, np.array([cfg.r_work]))[0])
 
 
 def classify_region(cfg: EngineConfig) -> str:
@@ -198,57 +250,116 @@ def classify_region(cfg: EngineConfig) -> str:
     return "iii"
 
 
-def _check_stroke(record: StrokeRecord) -> StrokeRecord:
-    d_e = internal_energy(record.state_out) - internal_energy(record.state_in)
-    gap = abs(record.work_on + record.heat_in - d_e)
-    if gap > FIRST_LAW_TOL * max(1.0, abs(d_e)):
+def classify_regions(tau_cold: float, tau_hot: float, r: np.ndarray) -> np.ndarray:
+    """:func:`classify_region` at every squeezing of an array, in one pass.
+
+    The reports keep the scalar form: on one point it costs a
+    microsecond, where this one costs tens.
+    """
+    rc_cold = critical_squeezing(tau_cold)
+    rc_hot = critical_squeezing(tau_hot)
+    on_boundary = (np.abs(r - rc_cold) <= BOUNDARY_TOL) | (np.abs(r - rc_hot) <= BOUNDARY_TOL)
+    return np.select([on_boundary, r < rc_cold, r < rc_hot], ["boundary", "i", "ii"], "iii")
+
+
+@_RAISE
+def _book(n: np.ndarray, r: np.ndarray, work_on: np.ndarray,
+          heat_in: np.ndarray) -> Ledger:
+    """Check a four-stroke ledger and total it.
+
+    Every stroke must obey the first law, the cycle must return to its
+    initial state and its energy must close.  Each test is written as
+    ``~(gap <= tol)`` so that a NaN fails it.
+    """
+    d_e = np.diff((n + 0.5) * np.cosh(2.0 * r), axis=0)
+    gap = np.abs(work_on + heat_in - d_e)
+    bad = ~(gap <= FIRST_LAW_TOL * np.maximum(1.0, np.abs(d_e)))
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
         raise CycleConsistencyError(
-            f"stroke '{record.label}' violates the first law by {gap:.3e}"
+            f"stroke '{STROKES[k]}' violates the first law by {gap[k, i]:.3e}"
         )
-    return record
-
-
-def _assemble_report(cfg: EngineConfig, strokes: list[StrokeRecord],
-                     trace: ClassicalityTrace) -> CycleReport:
-    for s in strokes:
-        _check_stroke(s)
-    first, last = strokes[0].state_in, strokes[-1].state_out
-    if not (math.isclose(first.n_th, last.n_th, rel_tol=0.0, abs_tol=1e-12)
-            and first.r == last.r):
+    bad = ~((np.abs(n[-1] - n[0]) <= 1e-12) & (r[-1] == r[0]))
+    if bad.any():
         raise CycleConsistencyError("cycle did not return to its initial state")
-    closure = sum(s.work_on + s.heat_in for s in strokes)
-    if abs(closure) > FIRST_LAW_TOL:
-        raise CycleConsistencyError(f"cycle energy closure off by {closure:.3e}")
+    closure = (work_on + heat_in).sum(axis=0)
+    bad = ~(np.abs(closure) <= FIRST_LAW_TOL)
+    if bad.any():
+        raise CycleConsistencyError(
+            f"cycle energy closure off by {closure[np.argmax(bad)]:.3e}"
+        )
 
-    w_net = -sum(s.work_on for s in strokes)
-    q_hot = next(s.heat_in for s in strokes if s.label == "hot-contact")
-    q_cold = -next(s.heat_in for s in strokes if s.label == "cold-contact")
-    efficiency = w_net / q_hot if q_hot > 0.0 else 0.0
+    w_net = -work_on.sum(axis=0)
+    q_hot = heat_in[1]
+    efficiency = np.divide(w_net, q_hot, out=np.zeros_like(w_net), where=q_hot > 0.0)
+    return Ledger(n=n, r=r, work_on=work_on, heat_in=heat_in, w_net_extracted=w_net,
+                  q_hot_in=q_hot, q_cold_out=-heat_in[3], efficiency=efficiency)
+
+
+@_RAISE
+def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
+    """Constant-classicality cycle ledger at every first-stroke squeezing in r_t.
+
+    With a = n_cold + 1/2 and delta = r_R - r_t = (1/2) ln(b/a), the
+    hot-contact stroke (n + 1/2 = a e^{2(r - r_t)}) has the exact integrals
+
+        W_on = a [e^{2 r_t} expm1(4 delta)/4 - e^{-2 r_t} delta]
+        Q_in = a [e^{2 r_t} expm1(4 delta)/4 + e^{-2 r_t} delta]
+
+    of 2 (n + 1/2) sinh 2r dr and cosh 2r dn; the other strokes are those
+    of the Otto cycle.  Raises FloatingPointError on overflow.
+    """
+    r_t = np.array(r_t, dtype=float, ndmin=1)
+    if not (tau_hot >= tau_cold and (r_t >= 0.0).all()):
+        raise ValueError("generalized_ledger needs tau_hot >= tau_cold and every r_t >= 0")
+    n1 = bose_einstein(tau_cold)
+    n2 = bose_einstein(tau_hot)
+    a, b = n1 + 0.5, n2 + 0.5
+    delta = _hot_shift(tau_cold, tau_hot)
+    r_r = r_t + delta
+    zero = np.zeros_like(r_t)
+
+    rise = a * np.exp(2.0 * r_t) * (math.expm1(4.0 * delta) / 4.0)
+    shift = a * np.exp(-2.0 * r_t) * delta
+    n = np.array([n1, n1, n2, n2, n1])[:, None] + zero
+    r = np.array([zero, r_t, r_r, zero, zero])
+    work_on = np.array([2.0 * a * np.sinh(r_t) ** 2, rise - shift,
+                        -2.0 * b * np.sinh(r_r) ** 2, zero])
+    heat_in = np.array([zero, rise + shift, zero, zero + (n1 - n2)])
+    return _book(n, r, work_on, heat_in)
+
+
+def _report(cfg: EngineConfig, ledger: Ledger, trace: ClassicalityTrace) -> CycleReport:
+    """CycleReport of a one-point ledger; the last stroke ends in the first state."""
+    states = [SqueezedThermalState(n_th=n, r=r)
+              for n, r in zip(ledger.n[:4, 0].tolist(), ledger.r[:4, 0].tolist())]
+    strokes = tuple(
+        StrokeRecord(label, states[k], states[(k + 1) % 4], work_on=w, heat_in=q)
+        for k, (label, w, q) in enumerate(
+            zip(STROKES, ledger.work_on[:, 0].tolist(), ledger.heat_in[:, 0].tolist()))
+    )
     return CycleReport(
-        strokes=tuple(strokes),
-        w_net_extracted=w_net,
-        q_hot_in=q_hot,
-        q_cold_out=q_cold,
-        efficiency=efficiency,
+        strokes=strokes,
+        w_net_extracted=float(ledger.w_net_extracted[0]),
+        q_hot_in=float(ledger.q_hot_in[0]),
+        q_cold_out=float(ledger.q_cold_out[0]),
+        efficiency=float(ledger.efficiency[0]),
         classicality_trace=trace,
         region=classify_region(cfg),
     )
 
 
+_TRACE_U = np.linspace(0.0, 1.0, TRACE_POINTS_PER_STROKE)
+_TRACE_U.flags.writeable = False  # shared by every trace
+_TRACE_STROKES = tuple(label for label in STROKES for _ in _TRACE_U)
+
+
 def _trace(segments) -> ClassicalityTrace:
-    """Sample each (label, r_of_u, n_of_u) segment at 256 uniform points."""
-    labels: list[str] = []
-    rs: list[np.ndarray] = []
-    ns: list[np.ndarray] = []
-    u = np.linspace(0.0, 1.0, TRACE_POINTS_PER_STROKE)
-    for label, r_of_u, n_of_u in segments:
-        labels.extend([label] * len(u))
-        rs.append(r_of_u(u))
-        ns.append(n_of_u(u))
-    r = np.concatenate(rs)
-    n = np.concatenate(ns)
+    """Sample the (r_of_u, n_of_u) segment of each stroke at 256 uniform points."""
+    r = np.concatenate([r_of_u(_TRACE_U) for r_of_u, _ in segments])
+    n = np.concatenate([n_of_u(_TRACE_U) for _, n_of_u in segments])
     c = (n + 0.5) * np.exp(-2.0 * r) - 0.5
-    return ClassicalityTrace(stroke=tuple(labels), r=r, n=n, c=c)
+    return ClassicalityTrace(stroke=_TRACE_STROKES, r=r, n=n, c=c)
 
 
 def run_otto(cfg: EngineConfig) -> CycleReport:
@@ -266,77 +377,45 @@ def run_otto(cfg: EngineConfig) -> CycleReport:
     n2 = steady_state(BathSpec(cfg.tau_hot, r_bath=r, gamma=1.0)).n_th
     a, b = n1 + 0.5, n2 + 0.5
 
-    st_a = SqueezedThermalState(n_th=n1, r=0.0)
-    st_b = SqueezedThermalState(n_th=n1, r=r)
-    st_c = SqueezedThermalState(n_th=n2, r=r)
-    st_d = SqueezedThermalState(n_th=n2, r=0.0)
-
-    strokes = [
-        StrokeRecord("squeeze", st_a, st_b,
-                     work_on=2.0 * a * math.sinh(r) ** 2, heat_in=0.0),
-        StrokeRecord("hot-contact", st_b, st_c,
-                     work_on=0.0, heat_in=(n2 - n1) * math.cosh(2.0 * r)),
-        StrokeRecord("unsqueeze", st_c, st_d,
-                     work_on=-2.0 * b * math.sinh(r) ** 2, heat_in=0.0),
-        StrokeRecord("cold-contact", st_d, st_a,
-                     work_on=0.0, heat_in=n1 - n2),
-    ]
+    ledger = _book(
+        n=np.array([[n1], [n1], [n2], [n2], [n1]]),
+        r=np.array([[0.0], [r], [r], [0.0], [0.0]]),
+        work_on=np.array([[2.0 * a * math.sinh(r) ** 2], [0.0],
+                          [-2.0 * b * math.sinh(r) ** 2], [0.0]]),
+        heat_in=np.array([[0.0], [(n2 - n1) * math.cosh(2.0 * r)], [0.0], [n1 - n2]]),
+    )
     trace = _trace([
-        ("squeeze", lambda u: u * r, lambda u: np.full_like(u, n1)),
-        ("hot-contact", lambda u: np.full_like(u, r), lambda u: n1 + u * (n2 - n1)),
-        ("unsqueeze", lambda u: (1.0 - u) * r, lambda u: np.full_like(u, n2)),
-        ("cold-contact", lambda u: np.zeros_like(u), lambda u: n2 + u * (n1 - n2)),
+        (lambda u: u * r, lambda u: np.full_like(u, n1)),
+        (lambda u: np.full_like(u, r), lambda u: n1 + u * (n2 - n1)),
+        (lambda u: (1.0 - u) * r, lambda u: np.full_like(u, n2)),
+        (lambda u: np.zeros_like(u), lambda u: n2 + u * (n1 - n2)),
     ])
-    return _assemble_report(cfg, strokes, trace)
+    return _report(cfg, ledger, trace)
 
 
-def run_generalized(cfg: EngineConfig, quad_tol: float = DEFAULT_QUAD_TOL) -> CycleReport:
+def run_generalized(cfg: EngineConfig) -> CycleReport:
     """Constant-classicality cycle; the hot contact co-varies (r, n_th).
 
     The B -> C stroke follows (n(r) + 1/2) = (n_cold + 1/2) e^{2(r - r_t)}
     for r from r_t to r_R, which holds C = (n + 1/2) e^{-2r} - 1/2 fixed;
-    its work and heat come from the adaptive path quadrature.
+    the ledger is :func:`generalized_ledger` at the single point r_t.
     """
     if cfg.kind is not CycleKind.GENERALIZED:
         raise ValueError(f"run_generalized requires kind=generalized, got {cfg.kind}")
+    ledger = generalized_ledger(cfg.tau_cold, cfg.tau_hot, [cfg.r_work])
     rt = cfg.r_work
-    r_r = generalized_r_hot(cfg)
+    r_r = float(ledger.r[2, 0])
     delta = r_r - rt
-    n1 = bose_einstein(cfg.tau_cold)
-    n2 = steady_state(BathSpec(cfg.tau_hot, r_bath=r_r, gamma=1.0)).n_th
-    a, b = n1 + 0.5, n2 + 0.5
+    n1, n2 = float(ledger.n[0, 0]), float(ledger.n[2, 0])
+    a = n1 + 0.5
 
-    st_a = SqueezedThermalState(n_th=n1, r=0.0)
-    st_b = SqueezedThermalState(n_th=n1, r=rt)
-    st_c = SqueezedThermalState(n_th=n2, r=r_r)
-    st_d = SqueezedThermalState(n_th=n2, r=0.0)
-
-    iso = ThermoPath(
-        r_of_s=lambda s: rt + s * delta,
-        n_of_s=lambda s: a * math.exp(2.0 * s * delta) - 0.5,
-        dr_ds=lambda s: delta,
-        dn_ds=lambda s: 2.0 * a * delta * math.exp(2.0 * s * delta),
-    )
-    bc = work_heat_along(iso, quad_tol=quad_tol)
-
-    strokes = [
-        StrokeRecord("squeeze", st_a, st_b,
-                     work_on=2.0 * a * math.sinh(rt) ** 2, heat_in=0.0),
-        StrokeRecord("hot-contact", st_b, st_c,
-                     work_on=bc.work_on, heat_in=bc.heat_in),
-        StrokeRecord("unsqueeze", st_c, st_d,
-                     work_on=-2.0 * b * math.sinh(r_r) ** 2, heat_in=0.0),
-        StrokeRecord("cold-contact", st_d, st_a,
-                     work_on=0.0, heat_in=n1 - n2),
-    ]
     trace = _trace([
-        ("squeeze", lambda u: u * rt, lambda u: np.full_like(u, n1)),
-        ("hot-contact", lambda u: rt + u * delta,
-         lambda u: a * np.exp(2.0 * u * delta) - 0.5),
-        ("unsqueeze", lambda u: (1.0 - u) * r_r, lambda u: np.full_like(u, n2)),
-        ("cold-contact", lambda u: np.zeros_like(u), lambda u: n2 + u * (n1 - n2)),
+        (lambda u: u * rt, lambda u: np.full_like(u, n1)),
+        (lambda u: rt + u * delta, lambda u: a * np.exp(2.0 * u * delta) - 0.5),
+        (lambda u: (1.0 - u) * r_r, lambda u: np.full_like(u, n2)),
+        (lambda u: np.zeros_like(u), lambda u: n2 + u * (n1 - n2)),
     ])
-    return _assemble_report(cfg, strokes, trace)
+    return _report(cfg, ledger, trace)
 
 
 def _state_dict(state: SqueezedThermalState) -> dict:

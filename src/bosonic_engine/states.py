@@ -24,6 +24,7 @@ __all__ = [
     "is_p_representable",
     "classicality",
     "classicality_nm",
+    "classicality_grid",
     "critical_squeezing",
     "BOUNDARY_TOL",
 ]
@@ -154,6 +155,26 @@ def classicality(state: SqueezedThermalState) -> float:
     matrix; C < 0 certifies non-classicality.
     """
     return (state.n_th + 0.5) * math.exp(-2.0 * state.r) - 0.5
+
+
+def libm_exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of every element of a 1-D array.
+
+    numpy's SIMD exp differs from math.exp by an ulp for a few percent of
+    arguments.  Array forms of the scalar closed forms use this to give
+    the same bits, where a cancellation after the exponential (C near 0,
+    the printed g near its sign change) would turn one ulp into hundreds.
+    """
+    return np.fromiter(map(math.exp, x.tolist()), float, count=len(x))
+
+
+def classicality_grid(n_th, r: np.ndarray) -> np.ndarray:
+    """:func:`classicality` over a 1-D array of squeezings, bit for bit.
+
+    ``n_th`` is one occupancy or a column of them (shape (k, 1)), which
+    gives one row per occupancy.
+    """
+    return (np.asarray(n_th) + 0.5) * libm_exp(-2.0 * r) - 0.5
 
 
 def critical_squeezing(tau: Temperature | float) -> float:

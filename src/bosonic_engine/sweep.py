@@ -9,9 +9,11 @@ separator, header row, newline-terminated rows.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -22,15 +24,15 @@ from .cycles import (
     CycleKind,
     EngineConfig,
     carnot_efficiency,
-    classify_region,
-    generalized_efficiency_closed_form,
-    generalized_r_hot,
+    classify_regions,
+    generalized_ledger,
     otto_efficiency,
+    printed_efficiency,
     run_generalized,
     run_otto,
 )
 from .dynamics import BathSpec, MomentState, evolve, write_trajectory_csv
-from .states import SqueezedThermalState, bose_einstein, classicality
+from .states import bose_einstein, classicality_grid
 
 __all__ = ["SweepSpec", "UsageError", "parse_config", "serialize_spec", "run_sweep",
            "MODES", "COLUMNS"]
@@ -174,85 +176,99 @@ def serialize_spec(spec: SweepSpec) -> str:
     return json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True)
 
 
-def _fmt(x) -> str:
-    return x if isinstance(x, str) else format(float(x), ".15g")
-
-
 def _engine(spec: SweepSpec, r: float, kind: CycleKind = CycleKind.OTTO) -> EngineConfig:
     return EngineConfig(tau_cold=spec.tau_cold, tau_hot=spec.tau_hot,
                         r_work=r, kind=kind)
 
 
-def _rows(spec: SweepSpec):
-    grid = np.linspace(spec.r_min, spec.r_max, spec.points)
-    if spec.mode == "classicality-curve":
-        for r in grid:
-            yield [r] + [
-                classicality(SqueezedThermalState(n_th=bose_einstein(tau), r=float(r)))
-                for tau in (spec.tau_cold, spec.tau_hot, spec.tau_third)
-            ]
-    elif spec.mode == "otto-sweep":
-        for r in grid:
-            cfg = _engine(spec, float(r))
-            yield [r, otto_efficiency(float(r)), classify_region(cfg)]
-    elif spec.mode == "generalized-sweep":
-        for r in grid:
-            cfg = _engine(spec, float(r), CycleKind.GENERALIZED)
-            report = run_generalized(cfg, quad_tol=spec.quad_tol)
-            yield [
-                r,
-                generalized_r_hot(cfg),
-                report.efficiency,
-                generalized_efficiency_closed_form(cfg),
-                otto_efficiency(float(r)),
-                carnot_efficiency(cfg),
-                report.region,
-            ]
-    elif spec.mode == "phase-diagram":
-        for r in grid:
-            cfg = _engine(spec, float(r))
-            c1 = classicality(SqueezedThermalState(bose_einstein(spec.tau_cold), float(r)))
-            c2 = classicality(SqueezedThermalState(bose_einstein(spec.tau_hot), float(r)))
-            yield [r, classify_region(cfg), c1, c2]
-    elif spec.mode == "cycle-trace":
+def _occupancy_column(taus) -> np.ndarray:
+    return np.array([[bose_einstein(tau)] for tau in taus])
+
+
+def _columns(spec: SweepSpec) -> list[np.ndarray]:
+    """The CSV columns of every mode but relaxation, as arrays.
+
+    Grid modes compute each column over the whole r grid at once;
+    cycle-trace takes its columns from the cycle report's trace.
+    """
+    tc, th = spec.tau_cold, spec.tau_hot
+    if spec.mode == "cycle-trace":
         if spec.kind == "otto":
             report = run_otto(_engine(spec, spec.r_work))
         else:
-            report = run_generalized(
-                _engine(spec, spec.r_work, CycleKind.GENERALIZED),
-                quad_tol=spec.quad_tol,
-            )
+            report = run_generalized(_engine(spec, spec.r_work, CycleKind.GENERALIZED))
         trace = report.classicality_trace
-        for label, r, n, c in zip(trace.stroke, trace.r, trace.n, trace.c):
-            yield [label, r, n, c]
-    else:  # pragma: no cover - guarded by build_spec
-        raise UsageError(f"unsupported mode {spec.mode!r}")
+        return [np.array(trace.stroke), trace.r, trace.n, trace.c]
+
+    grid = np.linspace(spec.r_min, spec.r_max, spec.points)
+    if spec.mode == "classicality-curve":
+        taus = (tc, th, spec.tau_third)
+        return [grid, *classicality_grid(_occupancy_column(taus), grid)]
+    if spec.mode == "otto-sweep":
+        return [grid, otto_efficiency(grid), classify_regions(tc, th, grid)]
+    if spec.mode == "generalized-sweep":
+        ledger = generalized_ledger(tc, th, grid)
+        carnot = carnot_efficiency(_engine(spec, 0.0))
+        return [grid, ledger.r[2], ledger.efficiency, printed_efficiency(tc, th, grid),
+                otto_efficiency(grid), np.full_like(grid, carnot),
+                classify_regions(tc, th, grid)]
+    if spec.mode == "phase-diagram":
+        c_cold, c_hot = classicality_grid(_occupancy_column((tc, th)), grid)
+        return [grid, classify_regions(tc, th, grid), c_cold, c_hot]
+    raise UsageError(f"unsupported mode {spec.mode!r}")  # pragma: no cover - build_spec
+
+
+def _csv_text(header: tuple[str, ...], columns: list[np.ndarray]) -> str:
+    """Header plus one line per row, numbers at 15 significant digits.
+
+    One row template formats every row; '%.15g' gives the same text as
+    format(x, '.15g').
+    """
+    row = ",".join("%s" if col.dtype.kind == "U" else "%.15g" for col in columns) + "\n"
+    rows = zip(*(col.tolist() for col in columns))
+    return ",".join(header) + "\n" + "".join(map(row.__mod__, rows))
 
 
 def run_sweep(spec: SweepSpec) -> str:
-    """Execute a sweep, writing the CSV and its manifest; returns the CSV path."""
+    """Execute a sweep, writing the CSV and its manifest; returns the CSV path.
+
+    Every row is computed before any file is opened.  Both files are
+    written under temporary names and renamed on success, so a sweep that
+    fails leaves neither of them behind.
+    """
     started = time.monotonic()
     if spec.mode == "relaxation":
         bath = BathSpec(tau=spec.tau_hot, r_bath=spec.r_work, gamma=spec.gamma)
         s0 = MomentState(n=bose_einstein(spec.tau_cold), m=0.0)
         dt_max = spec.dt_max if spec.dt_max is not None else 1e-3 / spec.gamma
         trajectory = evolve(s0, bath, t_final=spec.t_final, dt_max=dt_max)
-        write_trajectory_csv(trajectory, spec.output_path)
     else:
-        columns = COLUMNS[spec.mode]
-        with open(spec.output_path, "w", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in _rows(spec):
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        text = _csv_text(COLUMNS[spec.mode], _columns(spec))
 
-    manifest = {
-        "spec": dataclasses.asdict(spec),
-        "tool_version": __version__,
-        "units_note": UNITS_NOTE,
-        "columns": list(COLUMNS[spec.mode]),
-        "duration_seconds": time.monotonic() - started,
-    }
-    with open(spec.output_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return spec.output_path
+    path = spec.output_path
+    manifest_path = path + ".manifest.json"
+    tmp_csv, tmp_manifest = path + ".tmp", manifest_path + ".tmp"
+    try:
+        if spec.mode == "relaxation":
+            write_trajectory_csv(trajectory, tmp_csv)
+        else:
+            with open(tmp_csv, "w", newline="") as fh:
+                fh.write(text)
+        manifest = {
+            "spec": dataclasses.asdict(spec),
+            "tool_version": __version__,
+            "units_note": UNITS_NOTE,
+            "columns": list(COLUMNS[spec.mode]),
+            "duration_seconds": time.monotonic() - started,
+        }
+        with open(tmp_manifest, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp_csv, path)
+        os.replace(tmp_manifest, manifest_path)
+    except BaseException:
+        for tmp in (tmp_csv, tmp_manifest):
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+    return path

@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy import integrate
-
 from .errors import QuadratureError
 from .states import SqueezedThermalState, covariance_of, tau_of_occupancy
 
@@ -87,6 +85,10 @@ def _derivative(f: Callable[[float], float], s: float) -> float:
 
 
 def _quad(f: Callable[[float], float], quad_tol: float, points: Sequence[float]) -> float:
+    # Imported here, not at module level: scipy.integrate adds about 0.6 s
+    # and 50 MiB to the package's import, and only path quadrature uses it.
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:

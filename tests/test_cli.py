@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +264,12 @@ class TestCliMain:
         assert code == 4
         assert "i/o" in capsys.readouterr().err
 
+    def test_failed_write_removes_staged_files(self, tmp_path):
+        out = tmp_path / "otto.csv"
+        (tmp_path / "otto.csv.manifest.json.tmp").mkdir()  # the manifest cannot be staged
+        assert cli.main(["otto-sweep", "--points", "3", "--output", str(out)]) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["otto.csv.manifest.json.tmp"]
+
     def test_numeric_failure_exit_three(self, tmp_path, monkeypatch, capsys):
         from bosonic_engine.errors import QuadratureError
 
@@ -276,3 +286,36 @@ def test_spec_defaults_match_documented_values():
     spec = SweepSpec(mode="otto-sweep")
     assert spec.tau_cold == 1.0 and spec.tau_hot == 2.0
     assert spec.points == 201 and spec.quad_tol == 1e-10
+
+
+class TestNumericRobustness:
+    def test_overflowing_generalized_sweep_leaves_no_files(self, tmp_path, capsys):
+        out = tmp_path / "gen.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            code = cli.main(["generalized-sweep", "--r-max", "400", "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["otto-sweep", "phase-diagram", "classicality-curve"])
+    def test_large_squeezing_rows_stay_finite(self, tmp_path, mode):
+        out = tmp_path / "grid.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([mode, "--r-max", "400", "--output", str(out)])
+        assert code == 0
+        header, rows = read_csv(out)
+        numeric = [i for i, name in enumerate(header) if name != "region"]
+        values = np.array([[float(row[i]) for i in numeric] for row in rows])
+        assert len(rows) == 201 and np.all(np.isfinite(values))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "grid.csv", "grid.csv.manifest.json"]
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, bosonic_engine.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
