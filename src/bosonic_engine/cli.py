@@ -9,12 +9,12 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import json
 import sys
 
 from .errors import CycleConsistencyError, PhysicalityError, QuadratureError
-from .sweep import MODES, UsageError, build_spec, run_sweep
+from .sweep import MODES, SweepSpec, UsageError, build_spec, load_config, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,60 +31,33 @@ def _build_parser() -> argparse.ArgumentParser:
         "trajectories (natural units hbar = omega = k_B = 1).",
     )
     sub = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
+    fields = [f for f in dataclasses.fields(SweepSpec) if f.name != "mode"]
     for mode in MODES:
         p = sub.add_parser(mode, help=f"run a {mode} computation")
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--tau-cold", type=float, dest="tau_cold")
-        p.add_argument("--tau-hot", type=float, dest="tau_hot")
-        p.add_argument("--tau-third", type=float, dest="tau_third",
-                       help="third temperature of the classicality-curve mode")
-        p.add_argument("--r-min", type=float, dest="r_min")
-        p.add_argument("--r-max", type=float, dest="r_max")
-        p.add_argument("--points", type=int)
-        p.add_argument("--output", dest="output_path", help="CSV output path")
-        p.add_argument("--quad-tol", type=float, dest="quad_tol",
-                       help="accepted and validated; no mode integrates a path")
-        p.add_argument("--kind", choices=("otto", "generalized"),
-                       help="cycle kind for cycle-trace")
-        p.add_argument("--r-work", type=float, dest="r_work",
-                       help="working squeezing (cycle-trace) / bath squeezing (relaxation)")
-        p.add_argument("--gamma", type=float, help="relaxation rate")
-        p.add_argument("--t-final", type=float, dest="t_final")
-        p.add_argument("--dt-max", type=float, dest="dt_max")
+        for f in fields:
+            meta = f.metadata
+            p.add_argument(meta.get("flag", "--" + f.name.replace("_", "-")), dest=f.name,
+                           type=float if f.default is None else type(f.default),  # dt_max: None
+                           choices=meta.get("choices"), help=meta.get("help"))
     return parser
-
-
-_SPEC_KEYS = (
-    "tau_cold", "tau_hot", "tau_third", "r_min", "r_max", "points",
-    "output_path", "quad_tol", "kind", "r_work", "gamma", "t_final", "dt_max",
-)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(parser.parse_args(argv))
     except SystemExit as exc:
         # argparse already printed its message; normalize its usage code
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        values: dict = {}
-        if args.config:
-            with open(args.config) as fh:
-                text = fh.read()
-            try:
-                raw = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"configuration is not valid JSON: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise UsageError("configuration must be a JSON object")
-            values.update(raw)
-        values["mode"] = args.mode  # the subcommand always wins
-        for key in _SPEC_KEYS:
-            flag = getattr(args, key)
-            if flag is not None:
-                values[key] = flag
+        values = {}
+        if config := flags.pop("config"):
+            with open(config) as fh:
+                values = load_config(fh.read())
+        # flags override the config; the subcommand always sets the mode
+        values.update((key, flag) for key, flag in flags.items() if flag is not None)
         spec = build_spec(values)
         path = run_sweep(spec)
     except (QuadratureError, PhysicalityError, CycleConsistencyError,

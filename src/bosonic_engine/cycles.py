@@ -12,23 +12,23 @@ work parameter:
   squeezing r_R, so the classicality function stays constant while heat is
   absorbed.
 
-All strokes of both cycles have closed forms.  :func:`generalized_ledger`
-books the generalized cycle at a whole array of r_t values at once; the
-sweeps call it over their r grid and :func:`run_generalized` at one point.
-Bath-contact strokes are complete relaxations to the bath steady state
-(infinite-time limit of the moment dynamics).
+The cycles differ only in the hot contact, and all strokes have closed
+forms.  :func:`generalized_ledger` books the generalized cycle at a whole
+array of r_t values at once; the sweeps call it over their r grid and
+:func:`run_generalized` at one point.  Bath-contact strokes are complete
+relaxations to the bath steady state, at the bath's occupancy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dynamics import BathSpec, steady_state
 from .errors import CycleConsistencyError
 from .states import (
     BOUNDARY_TOL,
@@ -170,20 +170,13 @@ def carnot_efficiency(cfg: EngineConfig) -> float:
     return 1.0 - cfg.tau_cold / cfg.tau_hot
 
 
-def _hot_shift(tau_cold: float, tau_hot: float) -> float:
-    """r_R - r_t = (1/2) ln((n_hot + 1/2)/(n_cold + 1/2))."""
-    n_cold = bose_einstein(tau_cold)
-    n_hot = bose_einstein(tau_hot)
-    return 0.5 * math.log((n_hot + 0.5) / (n_cold + 0.5))
-
-
 def generalized_r_hot(cfg: EngineConfig) -> float:
     """Hot-bath squeezing r_R that keeps classicality constant.
 
     r_R = r_t + (1/2) ln((n_hot + 1/2)/(n_cold + 1/2)); equal temperatures
     give r_R = r_t.
     """
-    return cfg.r_work + _hot_shift(cfg.tau_cold, cfg.tau_hot)
+    return float(generalized_ledger(cfg.tau_cold, cfg.tau_hot, cfg.r_work).r[2, 0])
 
 
 @_RAISE
@@ -297,6 +290,31 @@ def _book(n: np.ndarray, r: np.ndarray, work_on: np.ndarray,
 
 
 @_RAISE
+def _four_strokes(n_cold: float, n_hot: float, r_t: np.ndarray, r_r: np.ndarray,
+                  hot_work: np.ndarray, hot_heat: np.ndarray) -> Ledger:
+    """Checked ledger of the four strokes at every working point.
+
+    Squeeze 0 -> r_t at n_cold, hot contact to (r_R, n_hot) with the given
+    work and heat, unsqueeze r_R -> 0 at n_hot, cold contact to n_cold.
+    """
+    zero = np.zeros_like(r_t)
+    n = np.array([n_cold, n_cold, n_hot, n_hot, n_cold])[:, None] + zero
+    r = np.array([zero, r_t, r_r, zero, zero])
+    work_on = np.array([2.0 * (n_cold + 0.5) * np.sinh(r_t) ** 2, hot_work,
+                        -2.0 * (n_hot + 0.5) * np.sinh(r_r) ** 2, zero])
+    heat_in = np.array([zero, hot_heat, zero, zero + (n_cold - n_hot)])
+    return _book(n, r, work_on, heat_in)
+
+
+@_RAISE
+def _otto_ledger(n_cold: float, n_hot: float, r: float) -> Ledger:
+    """Otto ledger: the hot contact at fixed r takes in (n_hot - n_cold) cosh 2r."""
+    r = np.array([r])
+    return _four_strokes(n_cold, n_hot, r, r, np.zeros_like(r),
+                         (n_hot - n_cold) * np.cosh(2.0 * r))
+
+
+@_RAISE
 def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
     """Constant-classicality cycle ledger at every first-stroke squeezing in r_t.
 
@@ -314,23 +332,33 @@ def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
         raise ValueError("generalized_ledger needs tau_hot >= tau_cold and every r_t >= 0")
     n1 = bose_einstein(tau_cold)
     n2 = bose_einstein(tau_hot)
-    a, b = n1 + 0.5, n2 + 0.5
-    delta = _hot_shift(tau_cold, tau_hot)
-    r_r = r_t + delta
-    zero = np.zeros_like(r_t)
-
+    a = n1 + 0.5
+    delta = 0.5 * math.log((n2 + 0.5) / a)
     rise = a * np.exp(2.0 * r_t) * (math.expm1(4.0 * delta) / 4.0)
     shift = a * np.exp(-2.0 * r_t) * delta
-    n = np.array([n1, n1, n2, n2, n1])[:, None] + zero
-    r = np.array([zero, r_t, r_r, zero, zero])
-    work_on = np.array([2.0 * a * np.sinh(r_t) ** 2, rise - shift,
-                        -2.0 * b * np.sinh(r_r) ** 2, zero])
-    heat_in = np.array([zero, rise + shift, zero, zero + (n1 - n2)])
-    return _book(n, r, work_on, heat_in)
+    return _four_strokes(n1, n2, r_t, r_t + delta, rise - shift, rise + shift)
 
 
-def _report(cfg: EngineConfig, ledger: Ledger, trace: ClassicalityTrace) -> CycleReport:
-    """CycleReport of a one-point ledger; the last stroke ends in the first state."""
+_TRACE_U = np.linspace(0.0, 1.0, TRACE_POINTS_PER_STROKE)
+_TRACE_U.flags.writeable = False  # shared by every trace
+_TRACE_STROKES = tuple(label for label in STROKES for _ in _TRACE_U)
+
+
+def _report(cfg: EngineConfig, ledger: Ledger,
+            hot_n: Callable[[np.ndarray], np.ndarray]) -> CycleReport:
+    """CycleReport of a one-point ledger; the last stroke ends in the first state.
+
+    The trace samples each stroke at 256 uniform u in [0, 1]: r moves
+    linearly along every stroke, n is constant on the unitaries, linear
+    on the cold contact and ``hot_n(u)`` on the hot contact.
+    """
+    n1, n2 = ledger.n[1:3, 0].tolist()
+    r_t, r_r = ledger.r[1:3, 0].tolist()
+    u = _TRACE_U
+    r = np.concatenate([u * r_t, r_t + u * (r_r - r_t), (1.0 - u) * r_r, np.zeros_like(u)])
+    n = np.concatenate([np.full_like(u, n1), hot_n(u), np.full_like(u, n2), n2 + u * (n1 - n2)])
+    trace = ClassicalityTrace(stroke=_TRACE_STROKES, r=r, n=n,
+                              c=(n + 0.5) * np.exp(-2.0 * r) - 0.5)
     states = [SqueezedThermalState(n_th=n, r=r)
               for n, r in zip(ledger.n[:4, 0].tolist(), ledger.r[:4, 0].tolist())]
     strokes = tuple(
@@ -349,19 +377,6 @@ def _report(cfg: EngineConfig, ledger: Ledger, trace: ClassicalityTrace) -> Cycl
     )
 
 
-_TRACE_U = np.linspace(0.0, 1.0, TRACE_POINTS_PER_STROKE)
-_TRACE_U.flags.writeable = False  # shared by every trace
-_TRACE_STROKES = tuple(label for label in STROKES for _ in _TRACE_U)
-
-
-def _trace(segments) -> ClassicalityTrace:
-    """Sample the (r_of_u, n_of_u) segment of each stroke at 256 uniform points."""
-    r = np.concatenate([r_of_u(_TRACE_U) for r_of_u, _ in segments])
-    n = np.concatenate([n_of_u(_TRACE_U) for _, n_of_u in segments])
-    c = (n + 0.5) * np.exp(-2.0 * r) - 0.5
-    return ClassicalityTrace(stroke=_TRACE_STROKES, r=r, n=n, c=c)
-
-
 def run_otto(cfg: EngineConfig) -> CycleReport:
     """Four-stroke Otto-like cycle with the squeezing as work parameter.
 
@@ -372,25 +387,10 @@ def run_otto(cfg: EngineConfig) -> CycleReport:
     """
     if cfg.kind is not CycleKind.OTTO:
         raise ValueError(f"run_otto requires kind=otto, got {cfg.kind}")
-    r = cfg.r_work
     n1 = bose_einstein(cfg.tau_cold)
-    n2 = steady_state(BathSpec(cfg.tau_hot, r_bath=r, gamma=1.0)).n_th
-    a, b = n1 + 0.5, n2 + 0.5
-
-    ledger = _book(
-        n=np.array([[n1], [n1], [n2], [n2], [n1]]),
-        r=np.array([[0.0], [r], [r], [0.0], [0.0]]),
-        work_on=np.array([[2.0 * a * math.sinh(r) ** 2], [0.0],
-                          [-2.0 * b * math.sinh(r) ** 2], [0.0]]),
-        heat_in=np.array([[0.0], [(n2 - n1) * math.cosh(2.0 * r)], [0.0], [n1 - n2]]),
-    )
-    trace = _trace([
-        (lambda u: u * r, lambda u: np.full_like(u, n1)),
-        (lambda u: np.full_like(u, r), lambda u: n1 + u * (n2 - n1)),
-        (lambda u: (1.0 - u) * r, lambda u: np.full_like(u, n2)),
-        (lambda u: np.zeros_like(u), lambda u: n2 + u * (n1 - n2)),
-    ])
-    return _report(cfg, ledger, trace)
+    n2 = bose_einstein(cfg.tau_hot)
+    ledger = _otto_ledger(n1, n2, cfg.r_work)
+    return _report(cfg, ledger, lambda u: n1 + u * (n2 - n1))
 
 
 def run_generalized(cfg: EngineConfig) -> CycleReport:
@@ -403,19 +403,9 @@ def run_generalized(cfg: EngineConfig) -> CycleReport:
     if cfg.kind is not CycleKind.GENERALIZED:
         raise ValueError(f"run_generalized requires kind=generalized, got {cfg.kind}")
     ledger = generalized_ledger(cfg.tau_cold, cfg.tau_hot, [cfg.r_work])
-    rt = cfg.r_work
-    r_r = float(ledger.r[2, 0])
-    delta = r_r - rt
-    n1, n2 = float(ledger.n[0, 0]), float(ledger.n[2, 0])
-    a = n1 + 0.5
-
-    trace = _trace([
-        (lambda u: u * rt, lambda u: np.full_like(u, n1)),
-        (lambda u: rt + u * delta, lambda u: a * np.exp(2.0 * u * delta) - 0.5),
-        (lambda u: (1.0 - u) * r_r, lambda u: np.full_like(u, n2)),
-        (lambda u: np.zeros_like(u), lambda u: n2 + u * (n1 - n2)),
-    ])
-    return _report(cfg, ledger, trace)
+    a = float(ledger.n[0, 0]) + 0.5
+    delta = float(ledger.r[2, 0]) - cfg.r_work
+    return _report(cfg, ledger, lambda u: a * np.exp(2.0 * u * delta) - 0.5)
 
 
 def _state_dict(state: SqueezedThermalState) -> dict:
@@ -451,8 +441,3 @@ def report_to_dict(report: CycleReport) -> dict:
 
 def report_to_json(report: CycleReport, indent: int | None = None) -> str:
     return json.dumps(report_to_dict(report), indent=indent)
-
-
-def cycle_classicality_bounds(report: CycleReport) -> tuple[float, float]:
-    """(min, max) of the classicality function over the sampled cycle."""
-    return float(report.classicality_trace.c.min()), float(report.classicality_trace.c.max())

@@ -15,14 +15,14 @@ is the squeezed thermal (generalized Gibbs) state.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PhysicalityError
-from .states import SqueezedThermalState, Temperature, bose_einstein, covariance_of
+from .states import (SqueezedThermalState, Temperature, bose_einstein, classicality_nm,
+                     covariance_of, is_physical_nm)
 
 __all__ = [
     "BathSpec",
@@ -37,6 +37,10 @@ __all__ = [
 PHYSICALITY_SLACK = 1e-9
 
 TRAJECTORY_COLUMNS = ("time", "n", "m", "classicality", "energy")
+
+# Rows formatted per write.  Formatting a long CSV in one piece holds all
+# of its text in memory at once and raises the peak memory of a run.
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -63,13 +67,7 @@ class MomentState:
     m: float
 
     def is_physical(self, slack: float = PHYSICALITY_SLACK) -> bool:
-        return (self.n + 0.5) ** 2 - self.m**2 >= 0.25 - slack
-
-    def classicality(self) -> float:
-        return self.n - abs(self.m)
-
-    def energy(self) -> float:
-        return self.n + 0.5
+        return bool(is_physical_nm(self.n, self.m, slack))
 
 
 @dataclass(frozen=True)
@@ -114,10 +112,13 @@ def evolve(
 ) -> MomentTrajectory:
     """Classical fixed-step RK4 integration of the moment ODEs.
 
-    The step is t_final/ceil(t_final/dt_max) <= dt_max.  Every accepted
-    point is checked against the symplectic uncertainty relation; a
-    violation beyond 1e-9 signals integrator misconfiguration and raises
-    :class:`PhysicalityError`.  t_final = 0 returns just the initial state.
+    The step is dt = t_final/ceil(t_final/dt_max) <= dt_max.  A step
+    outside RK4's stability region, |R(-gamma dt)| > 1 with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (gamma dt above about 2.785),
+    raises ValueError.  Every point is checked against the symplectic
+    uncertainty relation and n >= 0; a violation beyond 1e-9, or a NaN
+    moment, raises :class:`PhysicalityError` naming the first bad time.
+    t_final = 0 returns just the initial state.
     """
     if t_final < 0.0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
@@ -133,8 +134,13 @@ def evolve(
 
     steps = max(1, math.ceil(t_final / dt_max))
     dt = t_final / steps
-    n_env, m_env = _fixed_point(bath)
     gamma = bath.gamma
+    z = -gamma * dt
+    growth = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    if not abs(growth) <= 1.0:
+        raise ValueError(f"RK4 step gamma*dt = {-z:.6g} is unstable (|R(-gamma*dt)| = "
+                         f"{abs(growth):.6g} > 1); use dt_max <= {2.785 / gamma:.6g}")
+    n_env, m_env = _fixed_point(bath)
 
     def rhs(y: np.ndarray) -> np.ndarray:
         return gamma * (np.array([n_env, m_env]) - y)
@@ -149,28 +155,38 @@ def evolve(
         k3 = rhs(y + 0.5 * dt * k2)
         k4 = rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (y[0] + 0.5) ** 2 - y[1] ** 2 < 0.25 - PHYSICALITY_SLACK:
-            raise PhysicalityError(
-                f"trajectory left the physical region at t={times[k + 1]:.6g} "
-                f"(n={y[0]:.6g}, m={y[1]:.6g})"
-            )
         out[k + 1] = y
 
+    bad = ~is_physical_nm(out[:, 0], out[:, 1], PHYSICALITY_SLACK)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PhysicalityError(
+            f"trajectory left the physical region at t={times[k]:.6g} "
+            f"(n={out[k, 0]:.6g}, m={out[k, 1]:.6g})"
+        )
     return MomentTrajectory(times=times, n=out[:, 0], m=out[:, 1])
+
+
+def trajectory_columns(trajectory: MomentTrajectory) -> list[np.ndarray]:
+    """The CSV columns of a trajectory, in the order of TRAJECTORY_COLUMNS."""
+    n, m = trajectory.n, trajectory.m
+    return [trajectory.times, n, m, classicality_nm(n, m), n + 0.5]
+
+
+def write_csv(fh, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
+    """Write a header and one '\\n'-terminated line per row to the text file fh.
+
+    Numbers are written as '%.15g' (the text of format(x, '.15g')), strings
+    as they are; one row template formats CSV_BLOCK_ROWS rows at a time.
+    """
+    row = ",".join("%s" if col.dtype.kind == "U" else "%.15g" for col in columns) + "\n"
+    fh.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = zip(*(col[start:start + CSV_BLOCK_ROWS].tolist() for col in columns))
+        fh.write("".join(map(row.__mod__, block)))
 
 
 def write_trajectory_csv(trajectory: MomentTrajectory, path) -> None:
     """Write a trajectory as CSV: time, n, m, classicality, energy."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for t, n, m in zip(trajectory.times, trajectory.n, trajectory.m):
-            writer.writerow(
-                [
-                    format(t, ".15g"),
-                    format(n, ".15g"),
-                    format(m, ".15g"),
-                    format(n - abs(m), ".15g"),
-                    format(n + 0.5, ".15g"),
-                ]
-            )
+        write_csv(fh, TRAJECTORY_COLUMNS, trajectory_columns(trajectory))

@@ -22,6 +22,7 @@ __all__ = [
     "tau_of_occupancy",
     "covariance_of",
     "is_p_representable",
+    "is_physical_nm",
     "classicality",
     "classicality_nm",
     "classicality_grid",
@@ -89,7 +90,18 @@ class CovarianceMatrix:
         return np.array([[d, self.m_cm], [self.m_cm, d]])
 
     def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return (self.n_cm + 0.5) ** 2 - self.m_cm**2 >= 0.25 - tol
+        return bool(is_physical_nm(self.n_cm, self.m_cm, tol))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the comparisons judge inf and NaN
+def is_physical_nm(n, m, slack: float):
+    """Whether (n, m) obey the uncertainty relation, elementwise.
+
+    True where (n + 1/2)^2 - m^2 >= 1/4 - slack and n >= -slack; NaN
+    fails both tests.  Takes floats or arrays of equal shape.
+    """
+    n, m = np.asarray(n, dtype=float), np.asarray(m, dtype=float)
+    return (n >= -slack) & ((n + 0.5) ** 2 - m**2 >= 0.25 - slack)
 
 
 def _tau(tau: Temperature | float) -> float:
@@ -100,8 +112,16 @@ def _tau(tau: Temperature | float) -> float:
 
 
 def bose_einstein(tau: Temperature | float) -> float:
-    """Thermal occupancy 1/(e^{1/tau} - 1) of the mode at temperature tau."""
-    return 1.0 / math.expm1(1.0 / _tau(tau))
+    """Thermal occupancy 1/(e^{1/tau} - 1) of the mode at temperature tau.
+
+    Where e^{1/tau} overflows (1/tau > 709.78) the occupancy is e^{-1/tau}
+    to double precision, and underflows to 0 for 1/tau > 745.
+    """
+    x = 1.0 / _tau(tau)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        return math.exp(-x)
 
 
 def tau_of_occupancy(n_th: float) -> float:

@@ -4,7 +4,7 @@ Every sweep writes one CSV data file plus a JSON manifest
 (``<output>.manifest.json``) echoing the spec, the column schema, the
 tool version, the natural-units convention, and the wall-clock duration.
 CSV output is deterministic: 15 significant digits, '.' decimal
-separator, header row, newline-terminated rows.
+separator, header row, every line ending in '\\n' (LF) in every mode.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,32 +31,14 @@ from .cycles import (
     run_generalized,
     run_otto,
 )
-from .dynamics import BathSpec, MomentState, evolve, write_trajectory_csv
+from .dynamics import (TRAJECTORY_COLUMNS, BathSpec, MomentState, evolve,
+                       trajectory_columns, write_csv)
 from .states import bose_einstein, classicality_grid
 
-__all__ = ["SweepSpec", "UsageError", "parse_config", "serialize_spec", "run_sweep",
-           "MODES", "COLUMNS"]
+__all__ = ["SweepSpec", "UsageError", "load_config", "parse_config", "serialize_spec",
+           "run_sweep", "MODES", "COLUMNS"]
 
-MODES = (
-    "classicality-curve",
-    "otto-sweep",
-    "generalized-sweep",
-    "cycle-trace",
-    "relaxation",
-    "phase-diagram",
-)
-
-COLUMNS = {
-    "classicality-curve": ("r", "C_tau1", "C_tau2", "C_tau3"),
-    "otto-sweep": ("r", "eta_otto", "region"),
-    "generalized-sweep": (
-        "r_t", "r_R", "eta_generalized_ledger", "eta_printed_fg",
-        "eta_otto", "eta_carnot", "region",
-    ),
-    "cycle-trace": ("stroke", "sample_r", "sample_n", "classicality"),
-    "relaxation": ("time", "n", "m", "classicality", "energy"),
-    "phase-diagram": ("r", "region", "C_at_tau1", "C_at_tau2"),
-}
+KINDS = tuple(kind.value for kind in CycleKind)
 
 UNITS_NOTE = (
     "natural units: hbar = omega = k_B = 1; temperatures dimensionless, "
@@ -76,20 +58,28 @@ class SweepSpec:
     curve of the temperature comparison); kind and r_work select the cycle
     for cycle-trace; gamma, t_final, dt_max and r_work (bath squeezing)
     drive the relaxation mode.
+
+    Every field but mode is also a flag ``--<name with '-' for '_'>``;
+    field metadata may give its ``flag`` spelling, ``help`` and ``choices``.
     """
 
     mode: str
     tau_cold: float = 1.0
     tau_hot: float = 2.0
-    tau_third: float = 3.0
+    tau_third: float = field(
+        default=3.0, metadata={"help": "third temperature of the classicality-curve mode"})
     r_min: float = 0.0
     r_max: float = 3.0
     points: int = 201
-    output_path: str = ""
-    quad_tol: float = 1e-10
-    kind: str = "otto"
-    r_work: float = 0.0
-    gamma: float = 1.0
+    output_path: str = field(
+        default="", metadata={"flag": "--output", "help": "CSV output path"})
+    quad_tol: float = field(
+        default=1e-10, metadata={"help": "accepted and validated; no mode integrates a path"})
+    kind: str = field(
+        default="otto", metadata={"choices": KINDS, "help": "cycle kind for cycle-trace"})
+    r_work: float = field(default=0.0, metadata={
+        "help": "working squeezing (cycle-trace) / bath squeezing (relaxation)"})
+    gamma: float = field(default=1.0, metadata={"help": "relaxation rate"})
     t_final: float = 20.0
     dt_max: float | None = None
 
@@ -123,10 +113,10 @@ def build_spec(values: dict) -> SweepSpec:
     if (
         isinstance(merged["tau_cold"], (int, float))
         and isinstance(merged["tau_hot"], (int, float))
-        and merged["tau_hot"] <= merged["tau_cold"]
+        and merged["tau_hot"] < merged["tau_cold"]
     ):
         problems.append(
-            f"tau_hot ({merged['tau_hot']}) must exceed tau_cold ({merged['tau_cold']})"
+            f"tau_hot ({merged['tau_hot']}) must be >= tau_cold ({merged['tau_cold']})"
         )
     number("r_min", lambda v: v >= 0 and math.isfinite(v), "must be >= 0")
     number("r_max", lambda v: math.isfinite(v), "must be finite")
@@ -143,7 +133,7 @@ def build_spec(values: dict) -> SweepSpec:
     number("r_work", lambda v: v >= 0 and math.isfinite(v), "must be >= 0")
     number("gamma", lambda v: v > 0 and math.isfinite(v), "must be > 0")
     number("t_final", lambda v: v >= 0 and math.isfinite(v), "must be >= 0")
-    if merged["kind"] not in ("otto", "generalized"):
+    if merged["kind"] not in KINDS:
         problems.append(f"kind must be 'otto' or 'generalized', got {merged['kind']!r}")
     if merged["dt_max"] is not None and not (
         isinstance(merged["dt_max"], (int, float)) and merged["dt_max"] > 0
@@ -160,15 +150,20 @@ def build_spec(values: dict) -> SweepSpec:
     return SweepSpec(**merged)
 
 
-def parse_config(text: str) -> SweepSpec:
-    """Parse a JSON configuration document into a validated SweepSpec."""
+def load_config(text: str) -> dict:
+    """The key/value mapping of a JSON configuration document, unvalidated."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("configuration must be a JSON object")
-    return build_spec(raw)
+    return raw
+
+
+def parse_config(text: str) -> SweepSpec:
+    """Parse a JSON configuration document into a validated SweepSpec."""
+    return build_spec(load_config(text))
 
 
 def serialize_spec(spec: SweepSpec) -> str:
@@ -176,57 +171,75 @@ def serialize_spec(spec: SweepSpec) -> str:
     return json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True)
 
 
-def _engine(spec: SweepSpec, r: float, kind: CycleKind = CycleKind.OTTO) -> EngineConfig:
-    return EngineConfig(tau_cold=spec.tau_cold, tau_hot=spec.tau_hot,
-                        r_work=r, kind=kind)
-
-
 def _occupancy_column(taus) -> np.ndarray:
     return np.array([[bose_einstein(tau)] for tau in taus])
 
 
+def _grid(spec: SweepSpec) -> np.ndarray:
+    return np.linspace(spec.r_min, spec.r_max, spec.points)
+
+
+def _classicality_curve(spec: SweepSpec) -> list[np.ndarray]:
+    grid = _grid(spec)
+    taus = (spec.tau_cold, spec.tau_hot, spec.tau_third)
+    return [grid, *classicality_grid(_occupancy_column(taus), grid)]
+
+
+def _otto_sweep(spec: SweepSpec) -> list[np.ndarray]:
+    grid = _grid(spec)
+    return [grid, otto_efficiency(grid), classify_regions(spec.tau_cold, spec.tau_hot, grid)]
+
+
+def _generalized_sweep(spec: SweepSpec) -> list[np.ndarray]:
+    tc, th, grid = spec.tau_cold, spec.tau_hot, _grid(spec)
+    ledger = generalized_ledger(tc, th, grid)
+    carnot = carnot_efficiency(EngineConfig(tc, th, 0.0))
+    return [grid, ledger.r[2], ledger.efficiency, printed_efficiency(tc, th, grid),
+            otto_efficiency(grid), np.full_like(grid, carnot), classify_regions(tc, th, grid)]
+
+
+def _cycle_trace(spec: SweepSpec) -> list[np.ndarray]:
+    kind = CycleKind(spec.kind)
+    run = run_otto if kind is CycleKind.OTTO else run_generalized
+    trace = run(EngineConfig(spec.tau_cold, spec.tau_hot, spec.r_work, kind)).classicality_trace
+    return [np.array(trace.stroke), trace.r, trace.n, trace.c]
+
+
+def _relaxation(spec: SweepSpec) -> list[np.ndarray]:
+    bath = BathSpec(tau=spec.tau_hot, r_bath=spec.r_work, gamma=spec.gamma)
+    s0 = MomentState(n=bose_einstein(spec.tau_cold), m=0.0)
+    dt_max = spec.dt_max if spec.dt_max is not None else 1e-3 / spec.gamma
+    return trajectory_columns(evolve(s0, bath, t_final=spec.t_final, dt_max=dt_max))
+
+
+def _phase_diagram(spec: SweepSpec) -> list[np.ndarray]:
+    tc, th, grid = spec.tau_cold, spec.tau_hot, _grid(spec)
+    c_cold, c_hot = classicality_grid(_occupancy_column((tc, th)), grid)
+    return [grid, classify_regions(tc, th, grid), c_cold, c_hot]
+
+
+# Each mode's CSV columns, and the function that computes them from the
+# spec as one array per column.
+_MODE_TABLE = {
+    "classicality-curve": (("r", "C_tau1", "C_tau2", "C_tau3"), _classicality_curve),
+    "otto-sweep": (("r", "eta_otto", "region"), _otto_sweep),
+    "generalized-sweep": (
+        ("r_t", "r_R", "eta_generalized_ledger", "eta_printed_fg",
+         "eta_otto", "eta_carnot", "region"),
+        _generalized_sweep,
+    ),
+    "cycle-trace": (("stroke", "sample_r", "sample_n", "classicality"), _cycle_trace),
+    "relaxation": (TRAJECTORY_COLUMNS, _relaxation),
+    "phase-diagram": (("r", "region", "C_at_tau1", "C_at_tau2"), _phase_diagram),
+}
+
+MODES = tuple(_MODE_TABLE)
+COLUMNS = {mode: columns for mode, (columns, _) in _MODE_TABLE.items()}
+
+
 def _columns(spec: SweepSpec) -> list[np.ndarray]:
-    """The CSV columns of every mode but relaxation, as arrays.
-
-    Grid modes compute each column over the whole r grid at once;
-    cycle-trace takes its columns from the cycle report's trace.
-    """
-    tc, th = spec.tau_cold, spec.tau_hot
-    if spec.mode == "cycle-trace":
-        if spec.kind == "otto":
-            report = run_otto(_engine(spec, spec.r_work))
-        else:
-            report = run_generalized(_engine(spec, spec.r_work, CycleKind.GENERALIZED))
-        trace = report.classicality_trace
-        return [np.array(trace.stroke), trace.r, trace.n, trace.c]
-
-    grid = np.linspace(spec.r_min, spec.r_max, spec.points)
-    if spec.mode == "classicality-curve":
-        taus = (tc, th, spec.tau_third)
-        return [grid, *classicality_grid(_occupancy_column(taus), grid)]
-    if spec.mode == "otto-sweep":
-        return [grid, otto_efficiency(grid), classify_regions(tc, th, grid)]
-    if spec.mode == "generalized-sweep":
-        ledger = generalized_ledger(tc, th, grid)
-        carnot = carnot_efficiency(_engine(spec, 0.0))
-        return [grid, ledger.r[2], ledger.efficiency, printed_efficiency(tc, th, grid),
-                otto_efficiency(grid), np.full_like(grid, carnot),
-                classify_regions(tc, th, grid)]
-    if spec.mode == "phase-diagram":
-        c_cold, c_hot = classicality_grid(_occupancy_column((tc, th)), grid)
-        return [grid, classify_regions(tc, th, grid), c_cold, c_hot]
-    raise UsageError(f"unsupported mode {spec.mode!r}")  # pragma: no cover - build_spec
-
-
-def _csv_text(header: tuple[str, ...], columns: list[np.ndarray]) -> str:
-    """Header plus one line per row, numbers at 15 significant digits.
-
-    One row template formats every row; '%.15g' gives the same text as
-    format(x, '.15g').
-    """
-    row = ",".join("%s" if col.dtype.kind == "U" else "%.15g" for col in columns) + "\n"
-    rows = zip(*(col.tolist() for col in columns))
-    return ",".join(header) + "\n" + "".join(map(row.__mod__, rows))
+    """The CSV columns of the spec's mode, as arrays."""
+    return _MODE_TABLE[spec.mode][1](spec)
 
 
 def run_sweep(spec: SweepSpec) -> str:
@@ -237,23 +250,14 @@ def run_sweep(spec: SweepSpec) -> str:
     fails leaves neither of them behind.
     """
     started = time.monotonic()
-    if spec.mode == "relaxation":
-        bath = BathSpec(tau=spec.tau_hot, r_bath=spec.r_work, gamma=spec.gamma)
-        s0 = MomentState(n=bose_einstein(spec.tau_cold), m=0.0)
-        dt_max = spec.dt_max if spec.dt_max is not None else 1e-3 / spec.gamma
-        trajectory = evolve(s0, bath, t_final=spec.t_final, dt_max=dt_max)
-    else:
-        text = _csv_text(COLUMNS[spec.mode], _columns(spec))
+    columns = _columns(spec)
 
     path = spec.output_path
     manifest_path = path + ".manifest.json"
     tmp_csv, tmp_manifest = path + ".tmp", manifest_path + ".tmp"
     try:
-        if spec.mode == "relaxation":
-            write_trajectory_csv(trajectory, tmp_csv)
-        else:
-            with open(tmp_csv, "w", newline="") as fh:
-                fh.write(text)
+        with open(tmp_csv, "w", newline="") as fh:
+            write_csv(fh, COLUMNS[spec.mode], columns)
         manifest = {
             "spec": dataclasses.asdict(spec),
             "tool_version": __version__,

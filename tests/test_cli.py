@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonic_engine import cli
+from bosonic_engine.dynamics import BathSpec, MomentState, evolve, write_trajectory_csv
 from bosonic_engine.states import bose_einstein, critical_squeezing
 from bosonic_engine.sweep import (
     COLUMNS,
+    MODES,
     SweepSpec,
     UsageError,
+    build_spec,
     parse_config,
     run_sweep,
     serialize_spec,
@@ -319,3 +323,99 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
             "sys.exit('scipy.integrate' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestNumericEdges:
+    def test_overflowing_otto_trace_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["cycle-trace", "--kind", "otto", "--r-work", "400",
+                             "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_small_temperatures_give_finite_rows(self, tmp_path):
+        out = tmp_path / "gen.csv"
+        code = cli.main(["generalized-sweep", "--tau-cold", "1e-3", "--tau-hot", "2e-3",
+                         "--output", str(out)])
+        assert code == 0
+        header, rows = read_csv(out)
+        values = np.array([[float(x) for x in row[:-1]] for row in rows])
+        assert len(rows) == 201 and np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "10", "--t-final", "5", "--dt-max", "1"],
+        ["--gamma", "1e308", "--t-final", "1e308", "--dt-max", "1e308"],
+    ])
+    def test_unstable_rk4_step_exits_two(self, tmp_path, capsys, flags):
+        code = cli.main(["relaxation", *flags, "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unstable" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_large_stable_rk4_step_exits_zero(self, tmp_path):
+        out = tmp_path / "r.csv"
+        code = cli.main(["relaxation", "--gamma", "2.7", "--t-final", "3", "--dt-max", "1",
+                         "--output", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 4 and all(float(row[1]) >= 0.0 for row in rows)
+
+    def test_equal_temperatures_accepted(self, tmp_path):
+        out = tmp_path / "gen.csv"
+        code = cli.main(["generalized-sweep", "--tau-cold", "1", "--tau-hot", "1",
+                         "--points", "11", "--output", str(out)])
+        assert code == 0
+        header, rows = read_csv(out)
+        cols = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+        assert all(float(x) == 0.0 for x in cols["eta_generalized_ledger"])
+        assert all(float(x) == 1.0 for x in cols["eta_printed_fg"])
+        assert all(float(x) == 0.0 for x in cols["eta_carnot"])
+
+
+SMALL_SPECS = {
+    "classicality-curve": {"points": 7},
+    "otto-sweep": {"points": 7},
+    "generalized-sweep": {"points": 7},
+    "cycle-trace": {"kind": "generalized", "r_work": 0.5},
+    "relaxation": {"t_final": 0.05, "dt_max": 0.01, "r_work": 0.3},
+    "phase-diagram": {"points": 7},
+}
+
+
+class TestOutputFormat:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_lines_end_in_lf_and_header_matches(self, tmp_path, mode):
+        out = tmp_path / "out.csv"
+        run_sweep(build_spec({"mode": mode, **SMALL_SPECS[mode], "output_path": str(out)}))
+        lines = out.read_bytes().split(b"\n")
+        assert lines[-1] == b"" and len(lines) > 2
+        assert not any(b"\r" in line for line in lines)
+        assert lines[0].decode() == ",".join(COLUMNS[mode])
+
+    def test_relaxation_csv_equals_trajectory_writer(self, tmp_path):
+        out = tmp_path / "relax.csv"
+        assert cli.main(["relaxation", "--tau-cold", "0.7", "--tau-hot", "2.5",
+                         "--r-work", "0.4", "--gamma", "1.5", "--t-final", "3",
+                         "--output", str(out)]) == 0
+        traj = evolve(MomentState(bose_einstein(0.7), 0.0),
+                      BathSpec(tau=2.5, r_bath=0.4, gamma=1.5), t_final=3.0, dt_max=1e-3 / 1.5)
+        direct = tmp_path / "direct.csv"
+        write_trajectory_csv(traj, direct)
+        assert out.read_bytes() == direct.read_bytes()
+
+    def test_subcommand_flags_unchanged(self):
+        expected = {
+            "-h", "--help", "--config", "--tau-cold", "--tau-hot", "--tau-third",
+            "--r-min", "--r-max", "--points", "--output", "--quad-tol", "--kind",
+            "--r-work", "--gamma", "--t-final", "--dt-max",
+        }
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert tuple(sub.choices) == MODES
+        for parser in sub.choices.values():
+            assert {s for a in parser._actions for s in a.option_strings} == expected

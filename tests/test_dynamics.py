@@ -182,3 +182,18 @@ def test_trajectory_csv_export(tmp_path):
     assert float(first[1]) == pytest.approx(N1, rel=1e-12)
     assert float(first[3]) == pytest.approx(N1, rel=1e-12)  # m = 0 at start
     assert float(first[4]) == pytest.approx(N1 + 0.5, rel=1e-12)
+
+
+class TestRK4Stability:
+    @pytest.mark.parametrize("gamma, t_final, dt_max", [(10.0, 5.0, 1.0), (1e308, 1e308, 1e308)])
+    def test_step_outside_stability_region_rejected(self, gamma, t_final, dt_max):
+        bath = BathSpec(tau=2.0, r_bath=0.3, gamma=gamma)
+        with pytest.raises(ValueError, match="unstable"):
+            evolve(MomentState(N1, 0.0), bath, t_final=t_final, dt_max=dt_max)
+
+    def test_large_stable_step_accepted(self):
+        # gamma*dt = 2.7 lies just inside |R(-gamma*dt)| <= 1 (edge 2.785)
+        bath = BathSpec(tau=2.0, r_bath=0.3, gamma=2.7)
+        traj = evolve(MomentState(N1, 0.0), bath, t_final=3.0, dt_max=1.0)
+        assert len(traj) == 4
+        assert np.all(np.isfinite(traj.n)) and np.all(traj.n >= 0.0)

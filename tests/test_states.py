@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,8 @@ from bosonic_engine import (
     is_p_representable,
     tau_of_occupancy,
 )
+from bosonic_engine.dynamics import MomentState
+from bosonic_engine.states import is_physical_nm
 
 # Frozen from direct evaluation of 1/(e^{1/tau} - 1).
 N_TAU1 = 0.5819767068693265
@@ -174,3 +177,30 @@ class TestCriticalSqueezing:
         taus = np.linspace(0.1, 10.0, 60)
         rcs = [critical_squeezing(float(t)) for t in taus]
         assert all(b > a for a, b in zip(rcs, rcs[1:]))
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1 / 709, 0.1, 1.0, 1e3])
+def test_bose_einstein_against_mpmath(tau):
+    with mp.workprec(200):
+        exact = float(1 / mp.expm1(1 / mp.mpf(tau)))
+    # Rounding 1/tau moves n by about (1/tau) eps/2 relative; e^{-1/tau}
+    # underflows to 0 at tau = 1e-3.
+    assert bose_einstein(tau) == pytest.approx(exact, rel=4 * EPS * (1 + 1 / tau), abs=5e-324)
+
+
+class TestPhysicalityPredicate:
+    @pytest.mark.parametrize("n, m", [(-2e12, 0.0), (-2e12, 1e6), (float("nan"), 0.0),
+                                      (0.1, float("nan")), (0.0, 1.0)])
+    def test_rejects(self, n, m):
+        assert not is_physical_nm(n, m, 1e-9)
+        assert not CovarianceMatrix(n, m).is_physical()
+        assert not MomentState(n, m).is_physical()
+
+    def test_elementwise_with_slack(self):
+        cm = covariance_of(SqueezedThermalState(0.0, 0.7))
+        n = np.array([cm.n_cm, -1e-10, -1e-8, 1.0, 1.0])
+        m = np.array([cm.m_cm, 0.0, 0.0, 2.0, 0.5])
+        assert is_physical_nm(n, m, 1e-9).tolist() == [True, True, False, False, True]
