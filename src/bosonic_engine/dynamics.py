@@ -10,7 +10,10 @@ thermal state, n_env = (n_th + 1/2) cosh(2 r_R) - 1/2 and
 m_env = (n_th + 1/2) sinh(2 r_R).  Free-rotation (Hamiltonian) terms drop
 out in this frame and theta = 0 keeps m real.  Both moments relax
 exponentially at rate gamma toward the bath values; the stationary state
-is the squeezed thermal (generalized Gibbs) state.
+is the squeezed thermal (generalized Gibbs) state.  :func:`evolve`
+integrates them with fixed-step RK4, whose iterates for this linear ODE
+are evaluated in closed form over the whole trajectory, at most
+MAX_RK4_STEPS steps.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ TRAJECTORY_COLUMNS = ("time", "n", "m", "classicality", "energy")
 # Rows formatted per write.  Formatting a long CSV in one piece holds all
 # of its text in memory at once and raises the peak memory of a run.
 CSV_BLOCK_ROWS = 1024
+
+# Largest step count of evolve: one row of five float64 columns per step, about 400 MB.
+MAX_RK4_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,10 @@ def steady_state(bath: BathSpec) -> SqueezedThermalState:
 
 
 def _fixed_point(bath: BathSpec) -> tuple[float, float]:
-    cm = covariance_of(steady_state(bath))
+    try:
+        cm = covariance_of(steady_state(bath))
+    except OverflowError as exc:  # cosh 2r beyond the float range
+        raise FloatingPointError(f"bath covariance overflows at r_bath={bath.r_bath:.6g}") from exc
     return cm.n_cm, cm.m_cm
 
 
@@ -104,67 +113,58 @@ def moment_derivatives(s: MomentState, bath: BathSpec) -> tuple[float, float]:
     return bath.gamma * (n_env - s.n), bath.gamma * (m_env - s.m)
 
 
-def evolve(
-    s0: MomentState,
-    bath: BathSpec,
-    t_final: float,
-    dt_max: float,
-) -> MomentTrajectory:
-    """Classical fixed-step RK4 integration of the moment ODEs.
+def rk4_steps(t_final: float, dt_max: float) -> int:
+    """ceil(t_final/dt_max), at least 1; ValueError above MAX_RK4_STEPS."""
+    if not t_final / dt_max <= MAX_RK4_STEPS:
+        raise ValueError(f"t_final/dt_max = {t_final / dt_max:.6g} exceeds the maximum of "
+                         f"{MAX_RK4_STEPS} RK4 steps")
+    return max(1, math.ceil(t_final / dt_max))
 
-    The step is dt = t_final/ceil(t_final/dt_max) <= dt_max.  A step
-    outside RK4's stability region, |R(-gamma dt)| > 1 with
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (gamma dt above about 2.785),
-    raises ValueError.  Every point is checked against the symplectic
-    uncertainty relation and n >= 0; a violation beyond 1e-9, or a NaN
-    moment, raises :class:`PhysicalityError` naming the first bad time.
-    t_final = 0 returns just the initial state.
+
+def evolve(s0: MomentState, bath: BathSpec, t_final: float, dt_max: float) -> MomentTrajectory:
+    """Fixed-step RK4 integration of the moment ODEs, evaluated in closed form.
+
+    The step is dt = t_final/ceil(t_final/dt_max) <= dt_max; more than
+    MAX_RK4_STEPS steps raise ValueError.  For this linear ODE the k-th
+    RK4 iterate is exactly y_0 R^k + y_env (1 - R^k), with the stability
+    polynomial R = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = -gamma dt and
+    R^k = exp(k log1p(R - 1)) over the whole trajectory at once.  |R| > 1
+    (gamma dt above about 2.785) raises ValueError.  A point that breaks
+    the uncertainty relation or n >= 0 beyond the slack, or is NaN, raises
+    :class:`PhysicalityError` naming the first bad time.  t_final = 0
+    returns just the initial state.
     """
     if t_final < 0.0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
     if not (dt_max > 0.0):
         raise ValueError(f"dt_max must be > 0, got {dt_max}")
+    steps = rk4_steps(t_final, dt_max)
     if not s0.is_physical():
         raise PhysicalityError(f"initial state {s0} is unphysical")
 
     if t_final == 0.0:
-        return MomentTrajectory(
-            times=np.array([0.0]), n=np.array([s0.n]), m=np.array([s0.m])
-        )
+        return MomentTrajectory(np.array([0.0]), np.array([s0.n]), np.array([s0.m]))
 
-    steps = max(1, math.ceil(t_final / dt_max))
-    dt = t_final / steps
-    gamma = bath.gamma
-    z = -gamma * dt
-    growth = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    z = -bath.gamma * (t_final / steps)
+    growth_m1 = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    growth = 1.0 + growth_m1
     if not abs(growth) <= 1.0:
         raise ValueError(f"RK4 step gamma*dt = {-z:.6g} is unstable (|R(-gamma*dt)| = "
-                         f"{abs(growth):.6g} > 1); use dt_max <= {2.785 / gamma:.6g}")
+                         f"{abs(growth):.6g} > 1); use dt_max <= {2.785 / bath.gamma:.6g}")
     n_env, m_env = _fixed_point(bath)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return gamma * (np.array([n_env, m_env]) - y)
-
     times = np.linspace(0.0, t_final, steps + 1)
-    out = np.empty((steps + 1, 2))
-    y = np.array([s0.n, s0.m])
-    out[0] = y
-    for k in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
+    log_decay = np.arange(steps + 1) * math.log1p(growth_m1)
+    decay, relaxed = np.exp(log_decay), -np.expm1(log_decay)
+    n = s0.n * decay + n_env * relaxed
+    m = s0.m * decay + m_env * relaxed
 
-    bad = ~is_physical_nm(out[:, 0], out[:, 1], PHYSICALITY_SLACK)
+    bad = ~is_physical_nm(n, m, PHYSICALITY_SLACK)
     if bad.any():
         k = int(np.argmax(bad))
-        raise PhysicalityError(
-            f"trajectory left the physical region at t={times[k]:.6g} "
-            f"(n={out[k, 0]:.6g}, m={out[k, 1]:.6g})"
-        )
-    return MomentTrajectory(times=times, n=out[:, 0], m=out[:, 1])
+        raise PhysicalityError(f"trajectory left the physical region at t={times[k]:.6g} "
+                               f"(n={n[k]:.6g}, m={m[k]:.6g})")
+    return MomentTrajectory(times=times, n=n, m=m)
 
 
 def trajectory_columns(trajectory: MomentTrajectory) -> list[np.ndarray]:

@@ -37,6 +37,11 @@ BOUNDARY_TOL = 1e-12
 # Slack allowed when checking the symplectic uncertainty relation.
 PHYSICALITY_TOL = 1e-12
 
+# Rounding allowance of (n + 1/2)^2 - m^2 in float64, relative to
+# (n + 1/2)^2: the squares and their difference, plus a few ulps of error
+# in n and m themselves.  It grows with n^2, which no fixed slack does.
+SQUARE_ROUNDING = 8 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Temperature:
@@ -97,11 +102,13 @@ class CovarianceMatrix:
 def is_physical_nm(n, m, slack: float):
     """Whether (n, m) obey the uncertainty relation, elementwise.
 
-    True where (n + 1/2)^2 - m^2 >= 1/4 - slack and n >= -slack; NaN
-    fails both tests.  Takes floats or arrays of equal shape.
+    True where (n + 1/2)^2 - m^2 >= 1/4 - slack - SQUARE_ROUNDING (n + 1/2)^2
+    and n >= -slack; NaN fails both tests.  Takes floats or arrays of
+    equal shape.
     """
     n, m = np.asarray(n, dtype=float), np.asarray(m, dtype=float)
-    return (n >= -slack) & ((n + 0.5) ** 2 - m**2 >= 0.25 - slack)
+    square = (n + 0.5) ** 2
+    return (n >= -slack) & (square - m**2 >= 0.25 - slack - SQUARE_ROUNDING * square)
 
 
 def _tau(tau: Temperature | float) -> float:

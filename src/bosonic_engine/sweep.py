@@ -31,7 +31,7 @@ from .cycles import (
     run_generalized,
     run_otto,
 )
-from .dynamics import (TRAJECTORY_COLUMNS, BathSpec, MomentState, evolve,
+from .dynamics import (TRAJECTORY_COLUMNS, BathSpec, MomentState, evolve, rk4_steps,
                        trajectory_columns, write_csv)
 from .states import bose_einstein, classicality_grid
 
@@ -39,6 +39,10 @@ __all__ = ["SweepSpec", "UsageError", "load_config", "parse_config", "serialize_
            "run_sweep", "MODES", "COLUMNS"]
 
 KINDS = tuple(kind.value for kind in CycleKind)
+
+# Largest r grid.  generalized-sweep holds about 30 float64 arrays of the
+# grid's length at once, so the cap bounds a run at about 250 MB.
+MAX_POINTS = 1_000_000
 
 UNITS_NOTE = (
     "natural units: hbar = omega = k_B = 1; temperatures dimensionless, "
@@ -102,10 +106,12 @@ def build_spec(values: dict) -> SweepSpec:
     elif merged["mode"] not in MODES:
         problems.append(f"mode must be one of {MODES}, got {merged['mode']!r}")
 
-    def number(key, cond, description):
+    def number(key, cond, description) -> bool:
         v = merged[key]
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not cond(v):
             problems.append(f"{key} {description}, got {v!r}")
+            return False
+        return True
 
     number("tau_cold", lambda v: v > 0 and math.isfinite(v), "must be a positive number")
     number("tau_hot", lambda v: v > 0 and math.isfinite(v), "must be a positive number")
@@ -127,23 +133,29 @@ def build_spec(values: dict) -> SweepSpec:
     ):
         problems.append(f"r_min ({merged['r_min']}) must be < r_max ({merged['r_max']})")
     if not isinstance(merged["points"], int) or isinstance(merged["points"], bool) \
-            or merged["points"] < 2:
-        problems.append(f"points must be an integer >= 2, got {merged['points']!r}")
+            or not 2 <= merged["points"] <= MAX_POINTS:
+        problems.append(f"points must be an integer in [2, {MAX_POINTS}], "
+                        f"got {merged['points']!r}")
     number("quad_tol", lambda v: 0 < v <= 1e-3, "must be in (0, 1e-3]")
     number("r_work", lambda v: v >= 0 and math.isfinite(v), "must be >= 0")
-    number("gamma", lambda v: v > 0 and math.isfinite(v), "must be > 0")
-    number("t_final", lambda v: v >= 0 and math.isfinite(v), "must be >= 0")
+    steps_known = all([number("gamma", lambda v: v > 0 and math.isfinite(v), "must be > 0"),
+                       number("t_final", lambda v: v >= 0 and math.isfinite(v), "must be >= 0")])
     if merged["kind"] not in KINDS:
         problems.append(f"kind must be 'otto' or 'generalized', got {merged['kind']!r}")
     if merged["dt_max"] is not None and not (
         isinstance(merged["dt_max"], (int, float)) and merged["dt_max"] > 0
     ):
         problems.append(f"dt_max must be > 0 when given, got {merged['dt_max']!r}")
+    elif steps_known:
+        try:
+            rk4_steps(merged["t_final"], _dt_max(merged["dt_max"], merged["gamma"]))
+        except ValueError as exc:
+            problems.append(str(exc))
     if not isinstance(merged["output_path"], str):
         problems.append(f"output_path must be a string, got {merged['output_path']!r}")
 
     if problems:
-        raise UsageError("invalid sweep spec:\n  " + "\n  ".join(problems))
+        raise UsageError("invalid sweep spec: " + "; ".join(problems))
 
     if not merged["output_path"]:
         merged["output_path"] = f"{merged['mode']}.csv"
@@ -205,10 +217,15 @@ def _cycle_trace(spec: SweepSpec) -> list[np.ndarray]:
     return [np.array(trace.stroke), trace.r, trace.n, trace.c]
 
 
+def _dt_max(dt_max: float | None, gamma: float) -> float:
+    """The relaxation mode's largest RK4 step; 1e-3/gamma unless given."""
+    return dt_max if dt_max is not None else 1e-3 / gamma
+
+
 def _relaxation(spec: SweepSpec) -> list[np.ndarray]:
     bath = BathSpec(tau=spec.tau_hot, r_bath=spec.r_work, gamma=spec.gamma)
     s0 = MomentState(n=bose_einstein(spec.tau_cold), m=0.0)
-    dt_max = spec.dt_max if spec.dt_max is not None else 1e-3 / spec.gamma
+    dt_max = _dt_max(spec.dt_max, spec.gamma)
     return trajectory_columns(evolve(s0, bath, t_final=spec.t_final, dt_max=dt_max))
 
 

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonic_engine import cli
-from bosonic_engine.dynamics import BathSpec, MomentState, evolve, write_trajectory_csv
+from bosonic_engine.dynamics import (MAX_RK4_STEPS, BathSpec, MomentState, evolve,
+                                     write_trajectory_csv)
 from bosonic_engine.states import bose_einstein, critical_squeezing
 from bosonic_engine.sweep import (
     COLUMNS,
+    MAX_POINTS,
     MODES,
     SweepSpec,
     UsageError,
@@ -286,6 +288,30 @@ class TestCliMain:
         assert "numeric" in capsys.readouterr().err
 
 
+class TestSizeCaps:
+    """The validator rejects sizes above the caps; nothing of that size is allocated."""
+
+    def test_points_cap(self):
+        assert build_spec({"mode": "otto-sweep", "points": MAX_POINTS}).points == MAX_POINTS
+        with pytest.raises(UsageError, match="points"):
+            build_spec({"mode": "otto-sweep", "points": MAX_POINTS + 1})
+
+    def test_step_cap(self):
+        at_cap = {"mode": "relaxation", "t_final": float(MAX_RK4_STEPS), "dt_max": 1.0}
+        assert build_spec(at_cap).t_final == MAX_RK4_STEPS
+        with pytest.raises(UsageError, match="RK4 steps"):
+            build_spec({**at_cap, "t_final": MAX_RK4_STEPS + 1.0})
+        with pytest.raises(UsageError, match="RK4 steps"):  # default dt_max = 1e-3/gamma
+            build_spec({"mode": "relaxation", "t_final": 1e4, "gamma": 2.0})
+        with pytest.raises(UsageError, match="RK4 steps"):
+            build_spec({"mode": "relaxation", "t_final": 1e308, "dt_max": 1e-300})
+
+    def test_usage_error_is_one_line(self):
+        with pytest.raises(UsageError) as err:
+            build_spec({"mode": "otto-sweep", "points": 1, "gamma": -1.0})
+        assert "\n" not in str(err.value)
+
+
 def test_spec_defaults_match_documented_values():
     spec = SweepSpec(mode="otto-sweep")
     assert spec.tau_cold == 1.0 and spec.tau_hot == 2.0
@@ -355,6 +381,31 @@ class TestNumericEdges:
         assert code == 2
         err = capsys.readouterr().err
         assert "unstable" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_bath_covariance_exits_three(self, tmp_path, capsys):
+        code = cli.main(["relaxation", "--r-work", "400", "--output", str(tmp_path / "r.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_large_bath_squeezing_stays_physical(self, tmp_path):
+        # n reaches 5e15, where (n + 1/2)^2 - m^2 rounds to 0 or below 1/4
+        out = tmp_path / "r.csv"
+        code = cli.main(["relaxation", "--r-work", "20", "--t-final", "1", "--output", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        values = np.array(rows, dtype=float)
+        assert len(rows) == 1001 and np.all(np.isfinite(values))
+        assert values[0, 1] == float(f"{bose_einstein(1.0):.15g}") and values[-1, 1] > 1e16
+
+    def test_step_count_above_cap_exits_two(self, tmp_path, capsys):
+        code = cli.main(["relaxation", "--t-final", "1e308", "--dt-max", "1e-300",
+                         "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "RK4 steps" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_large_stable_rk4_step_exits_zero(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from bosonic_engine import (
     steady_state,
     write_trajectory_csv,
 )
+from bosonic_engine.dynamics import MAX_RK4_STEPS, rk4_steps
 
 N1 = bose_einstein(1.0)
 N2 = bose_einstein(2.0)
@@ -197,3 +199,87 @@ class TestRK4Stability:
         traj = evolve(MomentState(N1, 0.0), bath, t_final=3.0, dt_max=1.0)
         assert len(traj) == 4
         assert np.all(np.isfinite(traj.n)) and np.all(traj.n >= 0.0)
+
+
+EPS = np.finfo(float).eps
+
+
+def rk4_loop(s0: MomentState, bath: BathSpec, dt: float, steps: int) -> np.ndarray:
+    """Stepwise classical RK4 on moment_derivatives; rows are (n, m) per step."""
+    def f(y):
+        return np.array(moment_derivatives(MomentState(*y), bath))
+
+    out = np.empty((steps + 1, 2))
+    out[0] = y = np.array([s0.n, s0.m])
+    for k in range(steps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        out[k + 1] = y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+class TestClosedFormRK4:
+    """evolve evaluates RK4 in closed form; these check it against independent oracles."""
+
+    @pytest.mark.parametrize("gamma_dt", [1e-4, 1e-3, 0.5, 2.7])
+    @pytest.mark.parametrize("s0, r_bath", [(MomentState(N1, 0.0), 0.3),
+                                            (MomentState(0.0, 0.0), 1.2),
+                                            (MomentState(3.0, -1.5), 0.0)])
+    def test_iterate_against_mpmath(self, gamma_dt, s0, r_bath):
+        bath = BathSpec(tau=2.0, r_bath=r_bath, gamma=0.8)
+        steps = 20_000
+        traj = evolve(s0, bath, t_final=steps * gamma_dt / bath.gamma,
+                      dt_max=gamma_dt / bath.gamma)
+        assert len(traj) == steps + 1
+        cm = covariance_of(steady_state(bath))
+        # z from the step evolve takes, the iterate y_env + (y_0 - y_env) R(z)^k at 40 digits
+        z = -bath.gamma * (traj.times[-1] / steps)
+        with mp.workdps(40):
+            z = mp.mpf(z)
+            growth = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+            power, decay = mp.mpf(1), []
+            for _ in range(steps + 1):
+                decay.append(power)
+                power *= growth
+            n_ref = np.array([float(cm.n_cm + (s0.n - cm.n_cm) * d) for d in decay])
+            m_ref = np.array([float(cm.m_cm + (s0.m - cm.m_cm) * d) for d in decay])
+        scale = max(1.0, abs(s0.n), abs(cm.n_cm), abs(cm.m_cm))
+        assert np.max(np.abs(traj.n - n_ref)) <= 4 * EPS * scale
+        assert np.max(np.abs(traj.m - m_ref)) <= 4 * EPS * scale
+
+    @pytest.mark.parametrize("bath, s0, dt, steps", [
+        (BATH, MomentState(N1, 0.0), 1e-3, 2000),
+        (BathSpec(tau=0.5, r_bath=1.2, gamma=2.0), MomentState(0.0, 0.0), 0.05, 400),
+        (BathSpec(tau=3.0, r_bath=0.0, gamma=0.7), MomentState(2.0, 0.8), 0.3, 300),
+    ])
+    def test_matches_stepwise_loop(self, bath, s0, dt, steps):
+        traj = evolve(s0, bath, t_final=steps * dt, dt_max=dt)
+        ref = rk4_loop(s0, bath, traj.times[-1] / steps, steps)
+        np.testing.assert_allclose(traj.n, ref[:, 0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(traj.m, ref[:, 1], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("r_bath", [20.0, 100.0])
+    def test_initial_state_kept_exactly_at_large_bath_squeezing(self, r_bath):
+        # n_env ~ e^{2 r_bath} dwarfs n_0; y_env + (y_0 - y_env) R^k would round n_0 away at k = 0
+        traj = evolve(MomentState(N1, 0.0), BathSpec(2.0, r_bath, 1.0), t_final=1.0, dt_max=1e-3)
+        assert traj.n[0] == N1 and traj.m[0] == 0.0
+        assert np.all(np.diff(traj.n) > 0.0) and np.all(traj.m <= traj.n + 0.5)
+
+
+class TestStepCap:
+    def test_cap_boundary(self):
+        assert rk4_steps(float(MAX_RK4_STEPS), 1.0) == MAX_RK4_STEPS
+        with pytest.raises(ValueError, match="maximum"):
+            rk4_steps(MAX_RK4_STEPS + 1.0, 1.0)
+
+    @pytest.mark.parametrize("t_final, dt_max", [(1e308, 1e-300), (MAX_RK4_STEPS + 1.0, 1.0)])
+    def test_evolve_rejects_before_allocating(self, t_final, dt_max):
+        with pytest.raises(ValueError, match="maximum of 10000000 RK4 steps"):
+            evolve(MomentState(N1, 0.0), BATH, t_final=t_final, dt_max=dt_max)
+
+
+def test_overflowing_bath_covariance_is_a_floating_point_error():
+    with pytest.raises(FloatingPointError, match="r_bath=400"):
+        evolve(MomentState(N1, 0.0), BathSpec(2.0, 400.0, 1.0), t_final=1.0, dt_max=0.1)

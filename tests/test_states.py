@@ -18,7 +18,7 @@ from bosonic_engine import (
     tau_of_occupancy,
 )
 from bosonic_engine.dynamics import MomentState
-from bosonic_engine.states import is_physical_nm
+from bosonic_engine.states import SQUARE_ROUNDING, is_physical_nm
 
 # Frozen from direct evaluation of 1/(e^{1/tau} - 1).
 N_TAU1 = 0.5819767068693265
@@ -197,6 +197,23 @@ class TestPhysicalityPredicate:
     def test_rejects(self, n, m):
         assert not is_physical_nm(n, m, 1e-9)
         assert not CovarianceMatrix(n, m).is_physical()
+        assert not MomentState(n, m).is_physical()
+
+    @pytest.mark.parametrize("r", [10.0, 20.0, 100.0])
+    def test_accepts_large_occupancies_within_rounding(self, r):
+        # pure squeezed states: (n + 1/2)^2 - m^2 is exactly 1/4, but in float64
+        # it rounds to a multiple of ulp((n + 1/2)^2), 0 or below
+        cm = covariance_of(SqueezedThermalState(0.0, r))
+        w = np.linspace(0.0, 1.0, 101)  # mixtures with the vacuum stay physical
+        assert is_physical_nm(w * cm.n_cm, w * cm.m_cm, 1e-9).all()
+        assert CovarianceMatrix(cm.n_cm, cm.m_cm).is_physical()
+
+    @pytest.mark.parametrize("n", [1e8, 5.5e15, 1e100])
+    def test_rejects_violation_beyond_rounding(self, n):
+        # m^2 exceeds (n + 1/2)^2 by 16 eps (n + 1/2)^2, twice the rounding allowance
+        m = (n + 0.5) * (1.0 + 8.0 * EPS)
+        assert 2.0 * SQUARE_ROUNDING == 16.0 * EPS
+        assert not is_physical_nm(n, m, 1e-9)
         assert not MomentState(n, m).is_physical()
 
     def test_elementwise_with_slack(self):
