@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         spec = build_spec(values)
         path = run_sweep(spec)
     except (QuadratureError, PhysicalityError, CycleConsistencyError,
-            FloatingPointError) as exc:
+            ArithmeticError) as exc:  # FloatingPointError and OverflowError among them
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (UsageError, ValueError) as exc:

@@ -334,7 +334,12 @@ def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
     n2 = bose_einstein(tau_hot)
     a = n1 + 0.5
     delta = 0.5 * math.log((n2 + 0.5) / a)
-    rise = a * np.exp(2.0 * r_t) * (math.expm1(4.0 * delta) / 4.0)
+    try:
+        growth = math.expm1(4.0 * delta) / 4.0
+    except OverflowError as exc:
+        raise FloatingPointError(f"hot-contact squeezing shift r_R - r_t = {delta:.6g} "
+                                 "overflows e^{4(r_R - r_t)}") from exc
+    rise = a * np.exp(2.0 * r_t) * growth
     shift = a * np.exp(-2.0 * r_t) * delta
     return _four_strokes(n1, n2, r_t, r_t + delta, rise - shift, rise + shift)
 

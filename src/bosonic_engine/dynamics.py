@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvformat import write_csv
 from .errors import PhysicalityError
-from .states import (SqueezedThermalState, Temperature, bose_einstein, classicality_nm,
+from .states import (SqueezedThermalState, Temperature, bose_einstein, classicality,
                      covariance_of, is_physical_nm)
 
 __all__ = [
@@ -40,10 +41,6 @@ __all__ = [
 PHYSICALITY_SLACK = 1e-9
 
 TRAJECTORY_COLUMNS = ("time", "n", "m", "classicality", "energy")
-
-# Rows formatted per write.  Formatting a long CSV in one piece holds all
-# of its text in memory at once and raises the peak memory of a run.
-CSV_BLOCK_ROWS = 1024
 
 # Largest step count of evolve: one row of five float64 columns per step, about 400 MB.
 MAX_RK4_STEPS = 10_000_000
@@ -78,11 +75,12 @@ class MomentState:
 
 @dataclass(frozen=True)
 class MomentTrajectory:
-    """Time series of the moments; times strictly increasing."""
+    """Time series of the moments and of the classicality n - |m|; times strictly increasing."""
 
     times: np.ndarray
     n: np.ndarray
     m: np.ndarray
+    classicality: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
@@ -102,6 +100,8 @@ def steady_state(bath: BathSpec) -> SqueezedThermalState:
 def _fixed_point(bath: BathSpec) -> tuple[float, float]:
     try:
         cm = covariance_of(steady_state(bath))
+        if not (math.isfinite(cm.n_cm) and math.isfinite(cm.m_cm)):  # 2 r_bath overflows
+            raise OverflowError
     except OverflowError as exc:  # cosh 2r beyond the float range
         raise FloatingPointError(f"bath covariance overflows at r_bath={bath.r_bath:.6g}") from exc
     return cm.n_cm, cm.m_cm
@@ -133,6 +133,11 @@ def evolve(s0: MomentState, bath: BathSpec, t_final: float, dt_max: float) -> Mo
     the uncertainty relation or n >= 0 beyond the slack, or is NaN, raises
     :class:`PhysicalityError` naming the first bad time.  t_final = 0
     returns just the initial state.
+
+    The classicality C = n - |m| comes from the same closed form rather
+    than from the rounded moments, which cancel once n is large: where m
+    keeps the sign of m_0 >= 0, C = (n_0 - m_0) R^k + C_env (1 - R^k) with
+    C_env = n_env - m_env = (n_th + 1/2) e^{-2 r_bath} - 1/2.
     """
     if t_final < 0.0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
@@ -143,7 +148,8 @@ def evolve(s0: MomentState, bath: BathSpec, t_final: float, dt_max: float) -> Mo
         raise PhysicalityError(f"initial state {s0} is unphysical")
 
     if t_final == 0.0:
-        return MomentTrajectory(np.array([0.0]), np.array([s0.n]), np.array([s0.m]))
+        return MomentTrajectory(np.array([0.0]), np.array([s0.n]), np.array([s0.m]),
+                                np.array([s0.n - abs(s0.m)]))
 
     z = -bath.gamma * (t_final / steps)
     growth_m1 = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
@@ -154,36 +160,44 @@ def evolve(s0: MomentState, bath: BathSpec, t_final: float, dt_max: float) -> Mo
     n_env, m_env = _fixed_point(bath)
 
     times = np.linspace(0.0, t_final, steps + 1)
-    log_decay = np.arange(steps + 1) * math.log1p(growth_m1)
-    decay, relaxed = np.exp(log_decay), -np.expm1(log_decay)
-    n = s0.n * decay + n_env * relaxed
-    m = s0.m * decay + m_env * relaxed
-
+    n, m, c = _iterates(s0, n_env, m_env, classicality(steady_state(bath)),
+                        math.log1p(growth_m1), steps)
     bad = ~is_physical_nm(n, m, PHYSICALITY_SLACK)
     if bad.any():
         k = int(np.argmax(bad))
         raise PhysicalityError(f"trajectory left the physical region at t={times[k]:.6g} "
                                f"(n={n[k]:.6g}, m={m[k]:.6g})")
-    return MomentTrajectory(times=times, n=n, m=m)
+    return MomentTrajectory(times=times, n=n, m=m, classicality=c)
+
+
+def _iterates(s0: MomentState, n_env: float, m_env: float, c_env: float, log_growth: float,
+              steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n, m and C = n - |m| at RK4 steps 0..steps: y_0 R^k + y_env (1 - R^k).
+
+    c_env = n_env - m_env; m_env >= 0, so C = n - m except where m < 0
+    (from m_0 < 0), where C = n + m.
+    """
+    decay = np.arange(steps + 1, dtype=float)
+    decay *= log_growth
+    relaxed = -np.expm1(decay)
+    np.exp(decay, out=decay)
+
+    def iterate(y0: float, y_env: float) -> np.ndarray:
+        y = y0 * decay
+        y += y_env * relaxed
+        return y
+
+    n, m = iterate(s0.n, n_env), iterate(s0.m, m_env)
+    c = iterate(s0.n - s0.m, c_env)
+    if s0.m < 0.0:
+        c = np.where(m < 0.0, iterate(s0.n + s0.m, n_env + m_env), c)
+    return n, m, c
 
 
 def trajectory_columns(trajectory: MomentTrajectory) -> list[np.ndarray]:
     """The CSV columns of a trajectory, in the order of TRAJECTORY_COLUMNS."""
-    n, m = trajectory.n, trajectory.m
-    return [trajectory.times, n, m, classicality_nm(n, m), n + 0.5]
-
-
-def write_csv(fh, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
-    """Write a header and one '\\n'-terminated line per row to the text file fh.
-
-    Numbers are written as '%.15g' (the text of format(x, '.15g')), strings
-    as they are; one row template formats CSV_BLOCK_ROWS rows at a time.
-    """
-    row = ",".join("%s" if col.dtype.kind == "U" else "%.15g" for col in columns) + "\n"
-    fh.write(",".join(header) + "\n")
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = zip(*(col[start:start + CSV_BLOCK_ROWS].tolist() for col in columns))
-        fh.write("".join(map(row.__mod__, block)))
+    return [trajectory.times, trajectory.n, trajectory.m, trajectory.classicality,
+            trajectory.n + 0.5]
 
 
 def write_trajectory_csv(trajectory: MomentTrajectory, path) -> None:

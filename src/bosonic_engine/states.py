@@ -104,11 +104,20 @@ def is_physical_nm(n, m, slack: float):
 
     True where (n + 1/2)^2 - m^2 >= 1/4 - slack - SQUARE_ROUNDING (n + 1/2)^2
     and n >= -slack; NaN fails both tests.  Takes floats or arrays of
-    equal shape.
+    equal shape.  Both sides are scaled by 2^(-2k), (n + 1/2) 2^-k in
+    [1/2, 1), which rounds exactly as the unscaled test but cannot
+    overflow while n and m are finite.
     """
     n, m = np.asarray(n, dtype=float), np.asarray(m, dtype=float)
-    square = (n + 0.5) ** 2
-    return (n >= -slack) & (square - m**2 >= 0.25 - slack - SQUARE_ROUNDING * square)
+    square, k = np.frexp(n + 0.5)
+    square *= square
+    m = np.ldexp(m, -k)
+    m *= m
+    k *= -2
+    bound = np.ldexp(0.25 - slack, k)
+    bound -= SQUARE_ROUNDING * square
+    square -= m
+    return (n >= -slack) & (square >= bound)
 
 
 def _tau(tau: Temperature | float) -> float:
@@ -191,17 +200,23 @@ def libm_exp(x: np.ndarray) -> np.ndarray:
     arguments.  Array forms of the scalar closed forms use this to give
     the same bits, where a cancellation after the exponential (C near 0,
     the printed g near its sign change) would turn one ulp into hundreds.
+    An overflow raises FloatingPointError.
     """
-    return np.fromiter(map(math.exp, x.tolist()), float, count=len(x))
+    try:
+        return np.fromiter(map(math.exp, x.tolist()), float, count=len(x))
+    except OverflowError as exc:
+        raise FloatingPointError(f"exp overflows at {np.max(x):.6g}") from exc
 
 
 def classicality_grid(n_th, r: np.ndarray) -> np.ndarray:
     """:func:`classicality` over a 1-D array of squeezings, bit for bit.
 
     ``n_th`` is one occupancy or a column of them (shape (k, 1)), which
-    gives one row per occupancy.
+    gives one row per occupancy.  -2r overflows only where e^{-2r} is 0.
     """
-    return (np.asarray(n_th) + 0.5) * libm_exp(-2.0 * r) - 0.5
+    with np.errstate(over="ignore"):
+        decay = libm_exp(-2.0 * r)
+    return (np.asarray(n_th) + 0.5) * decay - 0.5
 
 
 def critical_squeezing(tau: Temperature | float) -> float:

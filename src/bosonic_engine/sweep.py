@@ -2,9 +2,11 @@
 
 Every sweep writes one CSV data file plus a JSON manifest
 (``<output>.manifest.json``) echoing the spec, the column schema, the
-tool version, the natural-units convention, and the wall-clock duration.
-CSV output is deterministic: 15 significant digits, '.' decimal
-separator, header row, every line ending in '\\n' (LF) in every mode.
+tool version, the natural-units convention, the row count, and the
+wall-clock duration with its compute and CSV-write phases.  CSV output is
+deterministic: every number is the text of format(x, '.15g'), with a '.'
+decimal separator, a header row, and every line ending in '\\n' (LF) in
+every mode.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .cycles import (
     run_generalized,
     run_otto,
 )
+from .csvformat import write_csv
 from .dynamics import (TRAJECTORY_COLUMNS, BathSpec, MomentState, evolve, rk4_steps,
-                       trajectory_columns, write_csv)
+                       trajectory_columns)
 from .states import bose_einstein, classicality_grid
 
 __all__ = ["SweepSpec", "UsageError", "load_config", "parse_config", "serialize_spec",
@@ -268,6 +271,7 @@ def run_sweep(spec: SweepSpec) -> str:
     """
     started = time.monotonic()
     columns = _columns(spec)
+    computed = time.monotonic()
 
     path = spec.output_path
     manifest_path = path + ".manifest.json"
@@ -275,12 +279,15 @@ def run_sweep(spec: SweepSpec) -> str:
     try:
         with open(tmp_csv, "w", newline="") as fh:
             write_csv(fh, COLUMNS[spec.mode], columns)
+        written = time.monotonic()
         manifest = {
             "spec": dataclasses.asdict(spec),
             "tool_version": __version__,
             "units_note": UNITS_NOTE,
             "columns": list(COLUMNS[spec.mode]),
-            "duration_seconds": time.monotonic() - started,
+            "rows": len(columns[0]),
+            "duration_seconds": written - started,
+            "phase_seconds": {"compute": computed - started, "write": written - computed},
         }
         with open(tmp_manifest, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from bosonic_engine import cli
 from bosonic_engine.dynamics import (MAX_RK4_STEPS, BathSpec, MomentState, evolve,
@@ -470,3 +473,112 @@ class TestOutputFormat:
         assert tuple(sub.choices) == MODES
         for parser in sub.choices.values():
             assert {s for a in parser._actions for s in a.option_strings} == expected
+
+
+def test_manifest_phases_and_rows(tmp_path):
+    out = tmp_path / "relax.csv"
+    run_sweep(build_spec({"mode": "relaxation", "t_final": 0.5, "output_path": str(out)}))
+    manifest = json.loads((tmp_path / "relax.csv.manifest.json").read_text())
+    assert manifest["rows"] == 501 == len(out.read_text().splitlines()) - 1
+    phases = manifest["phase_seconds"]
+    assert set(phases) == {"compute", "write"} and min(phases.values()) >= 0.0
+    assert sum(phases.values()) <= manifest["duration_seconds"] + 1e-9
+
+
+def test_bath_squeezing_beyond_square_overflow_exits_zero(tmp_path):
+    # (n + 1/2)^2 overflows at r_work = 200 although every moment is finite
+    out = tmp_path / "r.csv"
+    code = cli.main(["relaxation", "--r-work", "200", "--t-final", "1", "--output", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    values = np.array(rows, dtype=float)
+    assert len(rows) == 1001 and np.all(np.isfinite(values))
+    assert values[-1, 1] > 1e170
+    assert values[1, 3] == pytest.approx(0.5808952709705, abs=1e-12)
+
+
+def physical_rows(n: np.ndarray, m: np.ndarray) -> bool:
+    """The uncertainty relation on CSV values, each rounded to 15 digits.
+
+    (n + 1/2)^2 - m^2 >= 1/4 divided by (n + 1/2)^2; the rounding of the
+    printed digits moves its left side by up to about 2e-14.
+    """
+    half = n + 0.5
+    ratio = np.abs(m) / half
+    return bool(np.all(n >= -1e-9) and np.all((1 - ratio) * (1 + ratio) >= -3e-14))
+
+
+R_VALUES = [0.0, 5e-324, 1e-9, 0.5, 3.0, 20.0, 177.0, 200.0, 354.0, 356.0, 1e3, 1e308]
+TAU_VALUES = [5e-324, 1e-3, 1 / 709, 1 / 746, 0.1, 1.0, 2.0, 1e3, 1e15, 1e300]
+GAMMA_DT_VALUES = [5e-324, 1e-9, 1e-3, 0.5, 2.7, 2.785, 2.8, 1e3, 1e308]
+T_FINAL_VALUES = [0.0, 5e-324, 1e-3, 1.0, 20.0, 1e308]
+
+
+class TestCliFuzz:
+    """cli.main over extreme inputs: a documented exit code, one line, no traceback."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mode=st.sampled_from(MODES),
+           r_min=st.sampled_from(R_VALUES), r_max=st.sampled_from(R_VALUES),
+           r_work=st.sampled_from(R_VALUES) | st.floats(0.0, 400.0),
+           tau_cold=st.sampled_from(TAU_VALUES) | st.floats(1e-3, 1e3),
+           tau_ratio=st.sampled_from([1.0, 1.5, 1e3, 1e300]),
+           gamma=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]),
+           gamma_dt=st.sampled_from(GAMMA_DT_VALUES),
+           t_final=st.sampled_from(T_FINAL_VALUES),
+           points=st.sampled_from([1, 2, 3, 101, 2000, MAX_POINTS + 1]),
+           kind=st.sampled_from(["otto", "generalized"]))
+    def test_exit_codes_and_rows(self, tmp_path, mode, r_min, r_max, r_work, tau_cold,
+                                 tau_ratio, gamma, gamma_dt, t_final, points, kind):
+        dt_max = gamma_dt / gamma
+        steps = t_final / dt_max if dt_max > 0 else math.inf
+        # keep accepted trajectories small: no run of 20k to MAX_RK4_STEPS steps
+        assume(mode != "relaxation" or not 20_000 < steps <= MAX_RK4_STEPS)
+        flags = {"r-min": r_min, "r-max": r_max, "r-work": r_work, "tau-cold": tau_cold,
+                 "tau-hot": tau_cold * tau_ratio, "tau-third": tau_cold * tau_ratio,
+                 "gamma": gamma, "dt-max": dt_max, "t-final": t_final, "points": points}
+        argv = [mode, "--kind", kind]
+        for flag, value in flags.items():
+            argv += [f"--{flag}", repr(value)]
+        run_dir = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        run_dir.mkdir()
+        out = run_dir / "out.csv"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv + ["--output", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
+        if code != 0:
+            assert err and list(run_dir.iterdir()) == [], (argv, err)
+            return
+        header, rows = read_csv(out)
+        assert header == list(COLUMNS[mode]) and rows
+        values = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+        numeric = {name: np.array(col, dtype=float) for name, col in values.items()
+                   if name not in ("region", "stroke")}
+        for name, col in numeric.items():
+            assert np.all(np.isfinite(col)), (argv, name)
+        if mode == "relaxation":
+            assert physical_rows(numeric["n"], numeric["m"]), argv
+        if mode == "cycle-trace":
+            assert np.all(numeric["sample_n"] >= 0.0), argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    # e^{4 (r_R - r_t)} overflows in the ledger: an OverflowError traceback before
+    (["generalized-sweep", "--tau-cold", "0.001", "--tau-hot", "1e297"], 3),
+    # the printed 1 - f/g overflows e^{4 r_t} where the ledger does not
+    (["generalized-sweep", "--tau-cold", "5e-324", "--tau-hot", "5e-324", "--r-max", "200"], 3),
+    # 2 r_bath overflows to inf: NaN moments and a RuntimeWarning before
+    (["relaxation", "--r-work", "1e308", "--t-final", "1"], 3),
+    # -2r overflows where e^{-2r} is 0: C = -1/2, and a RuntimeWarning before
+    (["classicality-curve", "--r-max", "1e308", "--points", "3"], 0),
+])
+def test_overflow_found_by_fuzzing(tmp_path, capsys, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--output", str(tmp_path / "out.csv")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == (code != 0) and "Traceback" not in err

@@ -1,0 +1,190 @@
+"""The block CSV writer against the '%.15g' row template it replaces."""
+
+import contextlib
+import hashlib
+import io
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bosonic_engine import cli
+from bosonic_engine.csvformat import CSV_BLOCK_ROWS, write_csv
+from bosonic_engine.states import bose_einstein
+
+
+def template_csv(header, columns) -> str:
+    """Oracle: one '%.15g' / '%s' row template per row, the writer's former form."""
+    row = ",".join("%s" if col.dtype.kind == "U" else "%.15g" for col in columns) + "\n"
+    rows = zip(*(col.tolist() for col in columns))
+    return ",".join(header) + "\n" + "".join(map(row.__mod__, rows))
+
+
+def block_csv(header, columns) -> str:
+    fh = io.StringIO()
+    write_csv(fh, header, columns)
+    return fh.getvalue()
+
+
+def assert_same_text(columns):
+    header = tuple(f"c{j}" for j in range(len(columns)))
+    assert block_csv(header, columns) == template_csv(header, columns)
+
+
+def neighbours(values) -> np.ndarray:
+    """Each value, its float64 neighbours on both sides, and the negatives of all."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    return np.concatenate([v, -v])
+
+
+EDGES = neighbours([
+    0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300,
+    1e-5, 9.9999999999999995e-05, 1e-4, 1e-3, 0.1, 0.5, 1.0, 10.0,
+    123456789012345.0, 999999999999999.0, 999999999999999.5, 1e15, 1e16,
+    1234567890123455.0, 1234567890123465.0, 1.7976931348623157e308,
+])
+
+
+class TestTemplateEquality:
+    def test_edge_values(self):
+        special = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0])
+        assert_same_text([EDGES])
+        assert_same_text([np.resize(special, EDGES.size), EDGES, EDGES[::-1]])
+
+    @pytest.mark.parametrize("e", range(-6, 17))
+    def test_half_way_cases_at_every_exponent(self, e):
+        # (D + 1/2) 10^(e-14) lies half-way between two 15-digit decimals.  It
+        # is a double, an exact tie that '%.15g' rounds to even, at e = 14 and
+        # 15; elsewhere the nearest double lies just to one side of the tie.
+        digits = np.random.default_rng(e + 100).integers(10**14, 10**15, 2000)
+        assert_same_text([neighbours((digits + 0.5) * 10.0 ** (e - 14))])
+
+    def test_exact_decimals(self):
+        rng = np.random.default_rng(7)
+        places = rng.integers(0, 16, 5000)
+        values = [round(v, int(k)) for v, k in zip(rng.uniform(-1e3, 1e3, 5000), places)]
+        assert_same_text([np.array(values), np.linspace(0.0, 3.0, 5000)])
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, 3 * CSV_BLOCK_ROWS + 17,
+                                                  dtype=np.uint64)
+        values = bits.view(np.float64)
+        finite = np.abs(np.where(np.isfinite(values), values, 1.0))
+        assert_same_text([values, finite % 1e16, finite % 1e-3])
+
+    def test_log_uniform_magnitudes_across_blocks(self):
+        rng = np.random.default_rng(3)
+        values = 10.0 ** rng.uniform(-7, 17, (5, 2 * CSV_BLOCK_ROWS + 5))
+        assert_same_text([v * s for v, s in zip(values, [1, -1, 1, -1, 1])])
+
+    def test_string_and_mixed_columns(self):
+        labels = np.array(["i", "ii", "iii", "boundary", "", "a\x00b", "é,ü", "日本語\n",
+                           "x" * 40])
+        rows = 3 * labels.size
+        assert_same_text([np.resize(labels, rows), np.arange(rows) / 7.0,
+                          np.resize(labels[::-1], rows)])
+
+    def test_integer_bool_and_float32_columns(self):
+        ints = np.array([0, 1, -7, 10**15, 10**16 + 1, 2**62])
+        assert_same_text([ints, ints > 1, (ints / 3).astype(np.float32)])
+
+    def test_no_rows_and_no_columns(self):
+        assert block_csv(("a", "b"), [np.array([]), np.array([])]) == "a,b\n"
+        assert block_csv((), []) == "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arbitrary_columns(self, data):
+        rows = data.draw(st.integers(0, 40))
+        floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        columns = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                values = data.draw(st.lists(floats, min_size=rows, max_size=rows))
+                columns.append(np.array(values, dtype=float))
+            else:
+                values = data.draw(st.lists(st.text(max_size=12), min_size=rows, max_size=rows))
+                columns.append(np.array(values, dtype=str))
+        assert_same_text(columns)
+
+
+# SHA-256 of the CSVs of the README examples and of each mode's default
+# spec, as the '%.15g' row template wrote them.
+GOLDEN = {
+    "default-classicality-curve": (
+        ["classicality-curve"],
+        "80818ecfdebc28786d48de83dd0e92c537fcaab73d060c19415c6c7a5e5207af"),
+    "default-otto-sweep": (
+        ["otto-sweep"],
+        "1586fafcae0fbc8acc76307ccfafc99a1a72c610f6028ccf965d202321dc1b73"),
+    "default-generalized-sweep": (
+        ["generalized-sweep"],
+        "c56c367ea9e033ab66c821e96f6248ef74ef53df2a062d6d984ffd3c3b804b55"),
+    "default-cycle-trace": (
+        ["cycle-trace"],
+        "45c3f0a1ccfc526c694fe730794bb1584a94de6a3e5d22665cc63a7f1a99ecce"),
+    "default-phase-diagram": (
+        ["phase-diagram"],
+        "e3a84c65b30321f24b2c5bc318354dfdb7e53caf4f3a4400bb9bff5d7c88da19"),
+    "readme-otto-sweep": (
+        ["otto-sweep", "--r-min", "0", "--r-max", "3", "--points", "301"],
+        "25d6d29f377f506b7f19ccd709235bcc82a121930627035c52a58d57bc111e26"),
+    "readme-generalized-sweep": (
+        ["generalized-sweep", "--points", "201"],
+        "c56c367ea9e033ab66c821e96f6248ef74ef53df2a062d6d984ffd3c3b804b55"),
+    "readme-classicality-curve": (
+        ["classicality-curve", "--tau-cold", "1", "--tau-hot", "2", "--tau-third", "3"],
+        "80818ecfdebc28786d48de83dd0e92c537fcaab73d060c19415c6c7a5e5207af"),
+    "readme-cycle-trace": (
+        ["cycle-trace", "--kind", "generalized", "--r-work", "0.5"],
+        "5e14ea76756fd7b8b6a92725797b946a3adc98c9702710a33c91a6123925027e"),
+    "readme-phase-diagram": (
+        ["phase-diagram", "--r-max", "1.2"],
+        "c95727ba53804ca6120bcb2a8c6c1df0f63f7eb7c9edf1faa1e5ab7994f063d5"),
+    "readme-config-otto-sweep": (  # otto-sweep --config run.json --points 501
+        ["otto-sweep", "--r-min", "0", "--r-max", "3", "--points", "501"],
+        "5b10d07b6b8f380d19e4b5a38d35f2625e67dde4240507397afd7a9cdbb43781"),
+}
+
+# The README relaxation example: digest of its CSV without the
+# classicality column, which is computed without cancellation now and
+# is checked against mpmath instead.
+RELAXATION_ARGV = ["relaxation", "--tau-cold", "1", "--tau-hot", "2", "--r-work", "0.3",
+                   "--gamma", "1", "--t-final", "20"]
+RELAXATION_OTHER_COLUMNS = "f07b7088ed3717010565a1820481a07c8442eb9057fb249e25fd2e4dd9c13d72"
+
+
+def run_cli(argv, path) -> bytes:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--output", str(path)]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_csv_digest(tmp_path, name):
+    argv, digest = GOLDEN[name]
+    assert hashlib.sha256(run_cli(argv, tmp_path / "out.csv")).hexdigest() == digest
+
+
+def test_readme_relaxation_example(tmp_path):
+    lines = run_cli(RELAXATION_ARGV, tmp_path / "relax.csv").decode().splitlines()
+    cells = [line.split(",") for line in lines]
+    others = "".join(",".join(row[:3] + row[4:]) + "\n" for row in cells)
+    assert hashlib.sha256(others.encode()).hexdigest() == RELAXATION_OTHER_COLUMNS
+
+    # C_k = n_0 R^k + C_env (1 - R^k) for m_0 = 0, at 40 digits, every 97th row
+    n0, n_th, steps = bose_einstein(1.0), bose_einstein(2.0), 20_000
+    with mp.workdps(40):
+        z = mp.mpf(-(20.0 / steps))
+        growth = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        c_env = (mp.mpf(n_th) + mp.mpf(0.5)) * mp.exp(-2 * mp.mpf(0.3)) - mp.mpf(0.5)
+        for row in cells[1::97]:
+            power = growth ** round(float(row[0]) * steps / 20.0)
+            exact = float(mp.mpf(n0) * power + c_env * (1 - power))
+            # 15 printed digits: half a unit in the 15th place, plus the closed form's rounding
+            assert float(row[3]) == pytest.approx(exact, rel=5e-15, abs=1e-15)
+            assert math.isfinite(float(row[3]))

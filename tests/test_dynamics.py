@@ -283,3 +283,53 @@ class TestStepCap:
 def test_overflowing_bath_covariance_is_a_floating_point_error():
     with pytest.raises(FloatingPointError, match="r_bath=400"):
         evolve(MomentState(N1, 0.0), BathSpec(2.0, 400.0, 1.0), t_final=1.0, dt_max=0.1)
+
+
+class TestClassicalityWithoutCancellation:
+    """C = n - |m| from the closed form, where the rounded moments cancel."""
+
+    @staticmethod
+    def exact(s0: MomentState, bath: BathSpec, traj, rows) -> list[float]:
+        steps = len(traj) - 1
+        n_th = bose_einstein(bath.tau)
+        with mp.workdps(40 + int(bath.r_bath)):  # n_env - m_env cancels e^{2 r_bath}
+            z = mp.mpf(-bath.gamma * (traj.times[-1] / steps))
+            growth = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+            half, r = mp.mpf(n_th) + mp.mpf(0.5), mp.mpf(bath.r_bath)
+            n_env, m_env = half * mp.cosh(2 * r) - mp.mpf(0.5), half * mp.sinh(2 * r)
+            out = []
+            for k in rows:
+                power = growth ** int(k)
+                n = mp.mpf(s0.n) * power + n_env * (1 - power)
+                m = mp.mpf(s0.m) * power + m_env * (1 - power)
+                out.append(float(n - abs(m)))
+        return out
+
+    @pytest.mark.parametrize("r_bath", [20.0, 100.0])
+    def test_large_bath_squeezing_against_mpmath(self, r_bath):
+        # n = m = 5e15 at t = 0.001 for r_bath = 20: n - |m| in float64 gave 0.59375
+        s0, bath = MomentState(N1, 0.0), BathSpec(2.0, r_bath, 1.0)
+        traj = evolve(s0, bath, t_final=1.0, dt_max=1e-3)
+        rows = [0, 1, 2, 10, 100, 500, 1000]
+        np.testing.assert_allclose(traj.classicality[rows], self.exact(s0, bath, traj, rows),
+                                   rtol=0.0, atol=8 * EPS)
+        assert traj.classicality[1] == pytest.approx(0.5808952709705, abs=1e-12)
+
+    @pytest.mark.parametrize("s0", [MomentState(N1, 0.0), MomentState(3.0, 1.0),
+                                    MomentState(3.0, -1.5)])
+    def test_moderate_squeezing_against_mpmath(self, s0):
+        # m_0 < 0 turns positive on the way to the bath's m_env > 0
+        bath = BathSpec(1.5, 0.6, 0.8)
+        traj = evolve(s0, bath, t_final=10.0, dt_max=1e-2)
+        rows = list(range(0, len(traj), 37))
+        np.testing.assert_allclose(traj.classicality[rows], self.exact(s0, bath, traj, rows),
+                                   rtol=0.0, atol=8 * EPS * max(1.0, s0.n))
+        if s0.m < 0:
+            assert traj.m[0] < 0 < traj.m[-1]
+
+    def test_csv_column_is_the_trajectory_classicality(self, tmp_path):
+        traj = evolve(MomentState(N1, 0.0), BathSpec(2.0, 20.0, 1.0), t_final=0.01, dt_max=1e-3)
+        out = tmp_path / "t.csv"
+        write_trajectory_csv(traj, out)
+        column = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+        assert column == [float(f"{c:.15g}") for c in traj.classicality]

@@ -221,3 +221,26 @@ class TestPhysicalityPredicate:
         n = np.array([cm.n_cm, -1e-10, -1e-8, 1.0, 1.0])
         m = np.array([cm.m_cm, 0.0, 0.0, 2.0, 0.5])
         assert is_physical_nm(n, m, 1e-9).tolist() == [True, True, False, False, True]
+
+
+class TestPhysicalityPredicateScaling:
+    def test_same_verdict_as_the_unscaled_form(self):
+        # the 2^-k scaling is exact, so where (n + 1/2)^2 stays finite the
+        # verdict is that of (n + 1/2)^2 - m^2 >= 1/4 - slack - 8 eps (n + 1/2)^2
+        rng = np.random.default_rng(5)
+        n = 10.0 ** rng.uniform(-3, 100, 20_000)
+        m = (n + 0.5) * (1.0 + rng.uniform(-40, 40, n.size) * EPS)
+        square = (n + 0.5) ** 2
+        unscaled = square - m**2 >= 0.25 - 1e-9 - SQUARE_ROUNDING * square
+        assert 0 < unscaled.sum() < n.size
+        assert (is_physical_nm(n, m, 1e-9) == unscaled).all()
+
+    @pytest.mark.parametrize("r", [177.0, 200.0, 300.0, 354.0])
+    def test_no_overflow_at_large_squeezing(self, r):
+        # (n + 1/2)^2 overflows above r = 177, though n and m are finite
+        cm = covariance_of(SqueezedThermalState(0.0, r))
+        assert math.isfinite(cm.n_cm) and math.isfinite(cm.m_cm)
+        w = np.linspace(0.0, 1.0, 11)
+        assert is_physical_nm(w * cm.n_cm, w * cm.m_cm, 1e-9).all()
+        assert not is_physical_nm(cm.n_cm, cm.m_cm * (1.0 + 8 * EPS), 1e-9)
+        assert not is_physical_nm(np.inf, np.inf, 1e-9)
