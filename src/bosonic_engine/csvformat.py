@@ -1,48 +1,60 @@
-"""CSV text in '%.15g' format, one numpy pass per block of rows.
+"""Number text in one numpy pass per block: CSV in '%.15g', JSON in repr.
 
 :func:`write_csv` writes the text of a row template with '%.15g' for
-number columns and '%s' for string columns, byte for byte, but formats
-all cells of a CSV_BLOCK_ROWS-row block at once:
+number columns and '%s' for string columns, and :func:`json_items` the
+text that json.dumps writes for the items of float arrays, whose numbers
+are float.__repr__: the fewest digits that read back to the same double,
+the closest such digits when there is a choice.  Both are byte for byte,
+but format all cells of a block at once:
 
-* A "fixed" number, 1e-4 <= |x| < 1e15 after rounding to 15 digits, is
-  printed from its correctly rounded 15-digit integer D = |x| 10^(14-e),
-  e its decimal exponent.  10^(14-e) is exact, and Dekker's TwoProduct
-  gives the exact error of the rounded product, so D is rounded
-  correctly, ties to even, with no fallback.  Zero is fixed too.
-* Every cell is seven 4-byte words: the separator that precedes the cell
-  and '-0.', then '000', then the five 3-digit groups of D, each from a
-  table that can place the decimal point inside the group.  A drop-mask
-  that depends only on the sign, e and the number of significant digits
-  sets every byte that is not part of the text to 0xFF, which UTF-8 text
-  never contains, and one bytes.translate deletes them from the block.
-* Python formats the other numbers (scientific notation, |x| >= 1e15,
-  inf, NaN) with one '%-27.15g' template, padded to the cell; their texts
-  and the strings fill their cells behind the separator.  Cells grow past
-  seven words when a string needs it.
+* A finite x with 1e-5 <= |x| < 1e15 gets its correctly rounded 17-digit
+  integer D17 = round(y), y = |x| 10^(16-e), e its decimal exponent, and
+  the exact residual y - D17: 10^(16-e) is exact, and Dekker's TwoProduct
+  gives the exact error of the rounded product.  The 15- and 16-digit
+  roundings D15 and D16 of y, ties to even, follow from D17 and the sign
+  of the residual, with no fallback.
+* '%.15g' prints D15 in fixed notation for 1e-4 <= |x| < 1e15 after the
+  rounding.  repr prints the first D_P of D15, D16, D17 that reads back as
+  x, which 10^(17-P) D_P does exactly when it lies within
+  h = ulp(x)/2 10^(16-e) of y; h is a power of two times an exact power of
+  ten.  Python formats a cell within 2^-40 h of that bound and a power of
+  two, whose read-back interval is lopsided.  Zero is '0' or '0.0'.
+* Every cell is a row of 4-byte words: the separator that precedes the
+  cell and '-0.', then '000', then the 3-digit groups of the digits, each
+  from a table that can place the decimal point inside the group.  A
+  drop-mask that depends only on the sign, e and the number of significant
+  digits sets every byte that is not part of the text to 0xFF, which UTF-8
+  text never contains, and one bytes.translate deletes them from the block.
+* Python formats the other numbers ('%.15g': one '%-27.15g' template;
+  JSON: json.dumps of the one float, so NaN and Infinity match); their
+  texts and the strings fill their cells behind the separator.  CSV cells
+  grow past seven words when a string needs it.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import json
 import math
 
 import numpy as np
 
-__all__ = ["CSV_BLOCK_ROWS", "write_csv"]
+__all__ = ["CSV_BLOCK_ROWS", "json_items", "write_csv"]
 
 # Rows formatted per write.  Formatting a long CSV in one piece holds all
 # of its text in memory at once and raises the peak memory of a run.
 CSV_BLOCK_ROWS = 1024
 
-# A number's decimal exponent e is indexed as ei = e + 5; '%.15g' prints
-# e = -4..14 (ei = 1..19) in fixed notation.
+# A number's decimal exponent e is indexed as ei = e + 5; both formats
+# print e = -4..14 (ei = 1..19) in fixed notation.
 _N_FIXED = 19
 # _FIXED and _ZERO_GROUP are looked up rather than compared: the int64
 # comparison loops would fault in more numpy code and raise peak memory.
 _FIXED = np.array([1 <= ei <= _N_FIXED for ei in range(21)])     # fixed notation at ei
-_POW10 = np.array([float(f"1e{e}") for e in range(-5, 16)])       # 10^e, correctly rounded
-_SCALE = np.array([float(10 ** (19 - ei)) for ei in range(20)])   # 10^(14 - e), exact
+# 10^e, correctly rounded; none lies below 10^e, so |x| >= _POW10[ei] gives y >= 1e16.
+_POW10 = np.array([float(f"1e{e}") for e in range(-5, 16)])
+_SCALE = np.array([float(10 ** (21 - ei)) for ei in range(20)])   # 10^(16 - e), exact
 _SPLIT = 134217729.0                                              # 2^27 + 1 (Veltkamp)
 _SCALE_HI = _SCALE * _SPLIT - (_SCALE * _SPLIT - _SCALE)
 _SCALE_LO = _SCALE - _SCALE_HI
@@ -50,8 +62,15 @@ _SCALE_LO = _SCALE - _SCALE_HI
 _BINADE_MIN = 1006
 _BINADE_EI = np.array([bisect.bisect(_POW10.tolist(), math.ldexp(1.0, b - 1023)) - 1
                        for b in range(_BINADE_MIN, 1073)])
+_EXPONENT_BITS = 0x7FF << 52
+_MANTISSA_BITS = (1 << 52) - 1
+_NEAR = 2.0 ** -40       # relative margin of the read-back test
 
-_WORDS = 7
+# 3-digit groups per cell: '%.15g' prints D15; repr prints up to 17
+# digits and the 0 of '.0', and D17 is laid out as the 18 digits of 10 D17.
+_CSV_GROUPS = 5
+_JSON_GROUPS = 6
+_CSV_WORDS = 2 + _CSV_GROUPS
 _DROP = 0xFF
 _SIGN_POINT, _ZEROS = np.frombuffer(b"\0-0.000\xff", np.uint32)
 _SPACE_TO_DROP = bytes.maketrans(b" ", b"\xff")
@@ -67,33 +86,42 @@ def _group_words() -> np.ndarray:
     return np.frombuffer(b"".join(words), np.uint32)
 
 
-# Per ei and digit group: the table offset that puts the point of
+# Per digit group and ei: the table offset that puts the point of
 # e = 0..14 after the right digit of its group; no point for e < 0.
 _DOT_OFFSET = np.array([[1000 * ((ei - 5) % 3 + 1) if 5 <= ei <= 19 and (ei - 5) // 3 == k
-                         else 0 for ei in range(21)] for k in range(5)])
+                         else 0 for ei in range(21)] for k in range(_JSON_GROUPS)])
 # Trailing zeros of a 3-digit group; 3 for 0.
 _TRAILING_ZEROS = np.array([3 if g == 0 else 2 if g % 100 == 0 else 1 if g % 10 == 0 else 0
                             for g in range(1000)])
 _ZERO_GROUP = np.arange(1000) == 0
-# Drop-mask rows: 15 (ei - 1) + 14 - (trailing zeros of D), plus 285 if
-# negative, then +0 and -0.  An ei outside 1..19 maps to a valid row; such
-# a cell is formatted by Python.
-_NEGATIVE = 15 * _N_FIXED
-_ROW_BASE = np.array([15 * min(max(ei - 1, 0), _N_FIXED - 1) + 14 for ei in range(21)])
-_ZERO_ROW = 2 * _NEGATIVE
 
 
 @functools.cache
-def _drop_masks(words: int) -> np.ndarray:
+def _row_base(groups: int) -> np.ndarray:
+    """Drop-mask row of each ei for a cell with no trailing zero digit.
+
+    The masks of a layout of G groups come in rows 3G (ei - 1) + 3G - 1 -
+    (trailing zeros of the digits), plus 57 G if negative, then +0 and -0.
+    An ei outside 1..19 maps to a valid row; such a cell is formatted by
+    Python.
+    """
+    slots = 3 * groups
+    return np.array([slots * min(max(ei - 1, 0), _N_FIXED - 1) + slots - 1 for ei in range(21)])
+
+
+@functools.cache
+def _drop_masks(words: int, groups: int) -> np.ndarray:
     """Drop-mask rows of a cell of ``words`` words: 0xFF where a byte is dropped."""
+    json_style = groups == _JSON_GROUPS             # repr: a digit always follows the point
     rows = bytearray()
     for e in range(-4, 15):
-        for nsig in range(1, 16):
-            keep = [0]                                  # the separator
-            point = 0 <= e < nsig - 1                   # digits follow the point
-            if e < 0:                                   # '0.' and -e - 1 zeros
+        for nsig in range(1, 3 * groups + 1):
+            last = max(e, nsig - 1, e + 1 if json_style else 0)  # the last digit printed
+            point = 0 <= e < last                   # digits follow the point
+            keep = [0]                              # the separator
+            if e < 0:                               # '0.' and -e - 1 zeros
                 keep += range(2, 3 - e)
-            for i in range(max(e, nsig - 1) + 1):
+            for i in range(last + 1):
                 keep.append(8 + 4 * (i // 3) + i % 3 + (point and i // 3 == e // 3 and i > e))
             if point:
                 keep.append(8 + 4 * (e // 3) + e % 3 + 1)
@@ -101,7 +129,8 @@ def _drop_masks(words: int) -> np.ndarray:
             for byte in keep:
                 row[byte] = 0
             rows += row
-    rows += b"\0\xff\0" + b"\xff" * (4 * words - 3)     # 0
+    zero = b"\0\xff\0\0\0" if json_style else b"\0\xff\0"            # '0.0' or '0'
+    rows += zero + b"\xff" * (4 * words - len(zero))
     masks = np.frombuffer(bytes(rows), np.uint8).reshape(-1, 4 * words)
     negative = masks.copy()
     negative[:, 1] = 0                                  # the sign
@@ -109,11 +138,14 @@ def _drop_masks(words: int) -> np.ndarray:
 
 
 def _text_bytes(col: np.ndarray) -> np.ndarray:
-    """The UTF-8 bytes of a string column, as a fixed-width bytes array."""
-    try:
-        return col.astype("S")
-    except UnicodeEncodeError:
-        return np.array([text.encode() for text in col.tolist()], "S")
+    """The UTF-8 bytes of a string column, as a fixed-width bytes array.
+
+    An ASCII column is its code points, one byte each.
+    """
+    codes = np.ascontiguousarray(col, col.dtype.newbyteorder("=")).view(np.uint32)
+    if codes.max(initial=0) < 0x80:
+        return codes.astype(np.uint8).view(f"S{col.dtype.itemsize // 4}")
+    return np.array([text.encode() for text in col.tolist()], "S")
 
 
 def _place(cell_bytes: np.ndarray, where, texts: np.ndarray) -> None:
@@ -123,21 +155,26 @@ def _place(cell_bytes: np.ndarray, where, texts: np.ndarray) -> None:
     """
     width = texts.dtype.itemsize
     text_bytes = texts.view(np.uint8).reshape(-1, width)
-    length = ((text_bytes != 0) * np.arange(1, width + 1)).max(axis=1)
     field = np.full((len(text_bytes), cell_bytes.shape[1] - 1), _DROP, np.uint8)
     field[:, :width] = text_bytes
-    field[np.arange(field.shape[1]) >= length[:, None]] = _DROP
+    after_text = np.logical_or.accumulate(text_bytes[:, ::-1], axis=1)[:, ::-1]
+    np.putmask(field[:, :width], ~after_text, _DROP)
     cell_bytes[where, 1:] = field
 
 
-def _decimal_digits(x: np.ndarray):
-    """The 15-digit integer D, the exponent index ei and the fixed-notation flag of x.
+def _fill(cell_bytes: np.ndarray, where: np.ndarray, padded: str) -> None:
+    """Put texts, space-padded to one cell each, behind the separators of cell_bytes[where]."""
+    text = padded.encode().translate(_SPACE_TO_DROP)
+    cell_bytes[where, 1:] = np.frombuffer(text, np.uint8).reshape(-1, cell_bytes.shape[1] - 1)
 
-    D = round(a 10^(14 - e)), a = |x|, from y = a 10^(14 - e) = p + err
-    exactly (TwoProduct): p rounds to q, and D is q + 1 where y - q > 1/2,
-    q - 1 where y - q < -1/2, the even one of two on a tie.  Cells outside
-    1e-5 <= |x| < 1e15 get the D and ei of 1; the flag is false for every
-    cell that '%.15g' does not print in fixed notation.
+
+def _decimal_digits(x: np.ndarray):
+    """D17, the residual y - D17, the exponent index ei and where 1e-5 <= |x| < 1e15.
+
+    y = |x| 10^(16 - e) = p + err exactly (TwoProduct).  p lies in
+    [1e16, 1e17], so it is an even integer: D17 = p + rint(err), ties to
+    even, and y - D17 = err - rint(err), exact by Sterbenz's lemma.  Other
+    cells get the D17 and ei of 1.
     """
     a = np.abs(x)
     fast = a >= 1e-5
@@ -161,85 +198,97 @@ def _decimal_digits(x: np.ndarray):
     scale *= a
     err += scale
     del a, a_hi, scale
-    q = np.rint(p)
-    above = np.subtract(p, q, out=p)             # exact
-    below = above + 0.5
-    above -= 0.5
-    above += err                                 # the sign of y - q - 1/2
-    below += err                                 # the sign of y - q + 1/2
-    del err
-    d = q.astype(np.int64)
-    d += above > 0
-    d -= below < 0
-    ties = np.flatnonzero((above == 0) | (below == 0))
+    d = p.astype(np.int64)
+    np.rint(err, out=p)
+    d += p.astype(np.int64)
+    err -= p                                     # y - D17
+    return d, err, ei, fast
+
+
+def _round_off(d17: np.ndarray, residual: np.ndarray, unit: int):
+    """D = round(y / unit), ties to even, for y = d17 + residual, and s = y - unit (D' + 1/2).
+
+    D' = d17 // unit; D = D' + 1 where s > 0.  |y - unit D| = |unit/2 - |s||.
+    """
+    d = d17 // unit
+    s = d * -unit
+    s += d17 - unit // 2
+    s = s + residual                             # exact sign: |residual| <= 1/2
+    up = s > 0
+    ties = np.flatnonzero(s == 0)
     if ties.size:
-        odd = d[ties] & 1
-        d[ties] += odd * (above[ties] == 0) - odd * (below[ties] == 0)
-    carry = np.flatnonzero(q >= 10**15 - 1)      # the few cells where D can be 10^15
-    carry = carry[d[carry] == 10**15]
-    if carry.size:                               # rounded up to a power of ten
-        d[carry] = 10**14
-        ei[carry] += 1
-    fast &= _FIXED[ei]
-    return d, ei, fast
+        up[ties] = d[ties] & 1
+    d += up
+    return d, s
 
 
-def _digit_groups(d: np.ndarray, ei: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Word-table indices of the five 3-digit groups of each D, and D's trailing zeros."""
-    groups = np.empty((5, d.size), np.intp)
+def _digit_groups(d: np.ndarray, ei: np.ndarray, groups: int):
+    """The words of the 3-digit groups of each D, point included, and D's trailing zeros."""
+    words = np.empty((groups, d.size), np.uint32)
     zeros = np.zeros_like(d)
     trailing = np.ones(d.size, bool)             # every group so far is 000
-    for k in range(4, -1, -1):
+    for k in range(groups - 1, -1, -1):
         high = d // 1000
         group = high * -1000
         group += d
-        group_zeros = _TRAILING_ZEROS[group]
-        zeros += trailing * group_zeros
+        zeros += trailing * _TRAILING_ZEROS[group]
         trailing &= _ZERO_GROUP[group]
-        groups[k] = group
-        groups[k] += _DOT_OFFSET[k][ei]
+        group += _DOT_OFFSET[k][ei]
+        np.take(_group_words(), group, out=words[k])
         d = high
-    return groups, zeros
+    return words, zeros
+
+
+def _number_cells(x: np.ndarray, d: np.ndarray, ei: np.ndarray, fast: np.ndarray,
+                  words: int, groups: int) -> np.ndarray:
+    """Cells of the numbers x whose digits d have the given groups; zeros join fast."""
+    group_words, zeros = _digit_groups(d, ei, groups)
+    row = _row_base(groups)[ei]
+    row -= zeros
+    negative = np.signbit(x)
+    row += negative * (3 * groups * _N_FIXED)
+    zero = np.flatnonzero(x == 0)
+    row[zero] = 6 * groups * _N_FIXED + negative[zero]
+    fast[zero] = True
+    del zeros, negative
+
+    # the drop mask of each cell, then its bytes: separator, '-0.', '000', digits
+    cells = np.take(_drop_masks(words, groups), row, axis=0)
+    del row
+    cells[:, 0] |= _SIGN_POINT
+    cells[:, 1] |= _ZEROS
+    cells[:, 2:2 + groups] |= group_words.T
+    return cells
 
 
 def _format_block(columns: list[np.ndarray]) -> bytes:
     """UTF-8 text of a block of rows, each row starting with '\\n'."""
     rows, ncols = len(columns[0]), len(columns)
     texts = [_text_bytes(col) if col.dtype.kind == "U" else None for col in columns]
-    words = max([_WORDS] + [(t.dtype.itemsize + 4) // 4 for t in texts if t is not None])
+    words = max([_CSV_WORDS] + [(t.dtype.itemsize + 4) // 4 for t in texts if t is not None])
     x = np.empty((rows, ncols))
     for j, (col, text) in enumerate(zip(columns, texts)):
         x[:, j] = 1.0 if text is not None else col
     x = x.ravel()
 
-    d, ei, fast = _decimal_digits(x)
-    groups, zeros = _digit_groups(d, ei)
-    del d
-    row = _ROW_BASE[ei]
-    row -= zeros
-    negative = np.signbit(x)
-    row += negative * _NEGATIVE
-    zero = np.flatnonzero(x == 0)
-    row[zero] = _ZERO_ROW + negative[zero]
-    fast[zero] = True
-
-    # the drop mask of each cell, then its bytes: separator, '-0.', '000', digits
-    cells = np.take(_drop_masks(words), row, axis=0)
-    cells[:, 0] |= _SIGN_POINT
-    cells[:, 1] |= _ZEROS
-    for k, group in enumerate(groups):
-        cells[:, 2 + k] |= _group_words()[group]
-    del groups, row, negative
+    d, residual, ei, fast = _decimal_digits(x)
+    d = _round_off(d, residual, 100)[0]
+    del residual
+    carry = np.flatnonzero(d == 10**15)
+    if carry.size:                               # rounded up to a power of ten
+        d[carry] = 10**14
+        ei[carry] += 1
+    fast &= _FIXED[ei]
+    cells = _number_cells(x, d, ei, fast, words, _CSV_GROUPS)
+    del d, ei
     cell_bytes = cells.view(np.uint8)
     cell_bytes[:, 0] = ord(",")
     cell_bytes[::ncols, 0] = ord("\n")
 
     slow = np.flatnonzero(~fast)
     if slow.size:  # '%-W.15g' pads the text of '%.15g' with spaces to the field width W
-        width = cell_bytes.shape[1] - 1
-        text = ("%%-%d.15g" % width * slow.size % tuple(x[slow].tolist())).encode()
-        cell_bytes[slow, 1:] = np.frombuffer(text.translate(_SPACE_TO_DROP), np.uint8).reshape(
-            -1, width)
+        template = "%%-%d.15g" % (cell_bytes.shape[1] - 1)
+        _fill(cell_bytes, slow, template * slow.size % tuple(x[slow].tolist()))
     for j, text in enumerate(texts):
         if text is not None:
             _place(cell_bytes, slice(j, None, ncols), text)
@@ -257,3 +306,52 @@ def write_csv(fh, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
     for start in range(0, rows, CSV_BLOCK_ROWS):
         fh.write(_format_block([col[start:start + CSV_BLOCK_ROWS] for col in columns]).decode())
     fh.write("\n")
+
+
+def _shortest_digits(x: np.ndarray):
+    """repr's digits of each x as an 18-digit integer, the exponent index and where they hold."""
+    d17, residual, ei, fast = _decimal_digits(x)
+    fast &= _FIXED[ei]
+    bits = x.view(np.int64)
+    fast &= (bits & _MANTISSA_BITS) != 0         # not a power of two
+    h = np.where(fast, bits & _EXPONENT_BITS, 1023 << 52) - (53 << 52)
+    h = h.view(np.float64)                       # ulp(x)/2, and 2^-53 where x is not fast
+    h *= _SCALE[ei]
+    d = d17 * 10
+    for unit in (10, 100):                       # D16, then D15
+        digits, off = _round_off(d17, residual, unit)
+        np.abs(off, out=off)
+        off -= unit // 2
+        np.abs(off, out=off)                     # |y - unit D_P|
+        off -= h
+        fast &= np.abs(off) > h * _NEAR
+        digits *= 10 * unit
+        np.copyto(d, digits, where=off < 0)      # D_P reads back as x
+    # d < 10^18: x lies at least h below 10^(e+1), so y < 1e17 - 1/2, and a
+    # D15 or D16 rounded up to a power of ten fails the read-back test.
+    return d, ei, fast
+
+
+def json_items(arrays: list[np.ndarray], sep: str = ", ") -> list[str]:
+    """The items of each array as JSON numbers, joined by sep.
+
+    Each text is the one json.dumps writes between the brackets of
+    list(array) with item separator sep: float.__repr__ of each value as
+    a float64, or NaN, Infinity or -Infinity.
+    """
+    sizes = [len(a) for a in arrays]
+    x = np.concatenate(arrays, dtype=np.float64)
+    d, ei, fast = _shortest_digits(x)
+    cells = _number_cells(x, d, ei, fast, 2 + _JSON_GROUPS, _JSON_GROUPS)
+    del d, ei
+    cell_bytes = cells.view(np.uint8)
+    cell_bytes[:, 0] = ord(",")
+    starts = np.cumsum(sizes) - sizes
+    cell_bytes[starts[np.array(sizes) > 0], 0] = ord("\n")    # each array's first item
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        width = cell_bytes.shape[1] - 1
+        _fill(cell_bytes, slow, "".join(json.dumps(v).ljust(width) for v in x[slow].tolist()))
+    texts = iter(cells.tobytes().translate(None, b"\xff").decode().split("\n")[1:])
+    return [next(texts).replace(",", sep) if size else "" for size in sizes]

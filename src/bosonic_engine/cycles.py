@@ -29,6 +29,7 @@ from enum import Enum
 
 import numpy as np
 
+from .csvformat import json_items
 from .errors import CycleConsistencyError
 from .states import (
     BOUNDARY_TOL,
@@ -276,7 +277,8 @@ def _book(n: np.ndarray, r: np.ndarray, work_on: np.ndarray,
     if bad.any():
         raise CycleConsistencyError("cycle did not return to its initial state")
     closure = (work_on + heat_in).sum(axis=0)
-    bad = ~(np.abs(closure) <= FIRST_LAW_TOL)
+    scale = np.maximum(1.0, (np.abs(work_on) + np.abs(heat_in)).sum(axis=0))
+    bad = ~(np.abs(closure) <= FIRST_LAW_TOL * scale)
     if bad.any():
         raise CycleConsistencyError(
             f"cycle energy closure off by {closure[np.argmax(bad)]:.3e}"
@@ -417,8 +419,7 @@ def _state_dict(state: SqueezedThermalState) -> dict:
     return {"n_th": state.n_th, "r": state.r, "theta": state.theta}
 
 
-def report_to_dict(report: CycleReport) -> dict:
-    """JSON-ready dictionary with stable field names."""
+def _report_dict(report: CycleReport, trace: dict) -> dict:
     return {
         "strokes": [
             {
@@ -435,14 +436,44 @@ def report_to_dict(report: CycleReport) -> dict:
         "q_cold_out": report.q_cold_out,
         "efficiency": report.efficiency,
         "region": report.region,
-        "classicality_trace": {
-            "stroke": list(report.classicality_trace.stroke),
-            "r": report.classicality_trace.r.tolist(),
-            "n": report.classicality_trace.n.tolist(),
-            "classicality": report.classicality_trace.c.tolist(),
-        },
+        "classicality_trace": trace,
     }
 
 
+def report_to_dict(report: CycleReport) -> dict:
+    """JSON-ready dictionary with stable field names."""
+    trace = report.classicality_trace
+    return _report_dict(report, {
+        "stroke": list(trace.stroke),
+        "r": trace.r.tolist(),
+        "n": trace.n.tolist(),
+        "classicality": trace.c.tolist(),
+    })
+
+
+_TRACE_KEYS = ("stroke", "r", "n", "classicality")
+# The JSON items of the shared trace labels, joined by ", ".
+_TRACE_STROKES_JSON = json.dumps(list(_TRACE_STROKES))[1:-1]
+
+
 def report_to_json(report: CycleReport, indent: int | None = None) -> str:
-    return json.dumps(report_to_dict(report), indent=indent)
+    """The text of json.dumps(report_to_dict(report), indent=indent), byte for byte.
+
+    The document is dumped with one null in each non-empty trace list; the
+    trace comes last, so the last nulls of the text are those, and the
+    items take their place.  csvformat.json_items formats the numbers an
+    array at a time, with no Python float per value.
+    """
+    trace = report.classicality_trace
+    values = (trace.stroke, trace.r, trace.n, trace.c)
+    filled = [len(v) > 0 for v in values]
+    doc = _report_dict(report, {key: [None] if full else []
+                                for key, full in zip(_TRACE_KEYS, filled)})
+    head, *tails = json.dumps(doc, indent=indent).rsplit("null", sum(filled))
+    newline = head[head.rindex("[") + 1:]        # the line break and indent before an item
+    sep = ("," if newline else ", ") + newline
+    labels = (_TRACE_STROKES_JSON.replace(", ", sep) if trace.stroke is _TRACE_STROKES
+              else json.dumps(list(trace.stroke), separators=(sep, ": "))[1:-1])
+    items = [labels, *json_items([trace.r, trace.n, trace.c], sep)]
+    return head + "".join(text + tail for text, tail in
+                          zip((text for text, full in zip(items, filled) if full), tails))

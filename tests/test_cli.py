@@ -514,8 +514,53 @@ GAMMA_DT_VALUES = [5e-324, 1e-9, 1e-3, 0.5, 2.7, 2.785, 2.8, 1e3, 1e308]
 T_FINAL_VALUES = [0.0, 5e-324, 1e-3, 1.0, 20.0, 1e308]
 
 
+# The domain documented in README.md in which cycle-trace and
+# generalized-sweep exit 0: temperatures in [1e-3, 1e3] and r_work, or
+# r_max, up to these squeezings.
+DOMAIN_TAU = (1e-3, 1e3)
+DOMAIN_R = {"cycle-trace": ("r-work", 300.0), "generalized-sweep": ("r-max", 80.0)}
+
+
+def in_documented_domain(mode: str, flags: dict) -> bool:
+    if mode not in DOMAIN_R:
+        return False
+    flag, r_limit = DOMAIN_R[mode]
+    return (DOMAIN_TAU[0] <= flags["tau-cold"] <= flags["tau-hot"] <= DOMAIN_TAU[1]
+            and flags[flag] <= r_limit)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generalized-sweep", "--r-max", "8", "--points", "3"],
+    ["generalized-sweep", "--r-max", "20"],
+    ["generalized-sweep", "--r-max", "80", "--tau-cold", "1e-3", "--tau-hot", "1e3"],
+    ["generalized-sweep", "--r-max", "80", "--tau-cold", "1e3", "--tau-hot", "1e3"],
+    *[["cycle-trace", "--kind", kind, "--r-work", r] for kind in ("otto", "generalized")
+      for r in ("8", "100", "300")],
+    ["cycle-trace", "--kind", "generalized", "--r-work", "300", "--tau-cold", "1e-3",
+     "--tau-hot", "1e3"],
+])
+def test_large_squeezing_closes_the_cycle(tmp_path, argv):
+    # the closure tolerance scales with the strokes' energies, which grow
+    # like e^{2r} (Otto) and e^{4r} (generalized)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert rows
+    for i, name in enumerate(header):
+        if name not in ("region", "stroke"):
+            assert np.all(np.isfinite([float(row[i]) for row in rows])), name
+
+
+def test_printed_fg_overflow_past_the_domain_exits_three(tmp_path, capsys):
+    assert cli.main(["generalized-sweep", "--r-max", "100",
+                     "--output", str(tmp_path / "out.csv")]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCliFuzz:
-    """cli.main over extreme inputs: a documented exit code, one line, no traceback."""
+    """cli.main over extreme inputs: a documented exit code, one line, no traceback;
+    exit 0 inside the documented domain."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -549,6 +594,13 @@ class TestCliFuzz:
             code = cli.main(argv + ["--output", str(out)])
         err = stderr.getvalue()
         assert code in (0, 2, 3, 4), (argv, code, err)
+        try:
+            build_spec({"mode": mode, "kind": kind,
+                        **{flag.replace("-", "_"): value for flag, value in flags.items()}})
+        except UsageError:
+            assert code == 2, (argv, code, err)
+        else:
+            assert code == 0 or not in_documented_domain(mode, flags), (argv, code, err)
         assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
         if code != 0:
             assert err and list(run_dir.iterdir()) == [], (argv, err)
@@ -564,6 +616,21 @@ class TestCliFuzz:
             assert physical_rows(numeric["n"], numeric["m"]), argv
         if mode == "cycle-trace":
             assert np.all(numeric["sample_n"] >= 0.0), argv
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mode=st.sampled_from(sorted(DOMAIN_R)), kind=st.sampled_from(["otto", "generalized"]),
+           tau_cold=st.floats(*DOMAIN_TAU), tau_hot=st.floats(*DOMAIN_TAU),
+           r=st.floats(0.0, 1.0, exclude_min=True), points=st.integers(2, 50))
+    def test_documented_domain_exits_zero(self, tmp_path, mode, kind, tau_cold, tau_hot, r,
+                                          points):
+        flag, r_limit = DOMAIN_R[mode]
+        tau_cold, tau_hot = sorted([tau_cold, tau_hot])
+        argv = [mode, "--kind", kind, "--tau-cold", repr(tau_cold), "--tau-hot", repr(tau_hot),
+                f"--{flag}", repr(r * r_limit), "--points", str(points),
+                "--output", str(tmp_path / "out.csv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
 
 
 @pytest.mark.parametrize("argv, code", [

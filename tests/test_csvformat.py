@@ -1,8 +1,10 @@
-"""The block CSV writer against the '%.15g' row template it replaces."""
+"""The block CSV writer against the '%.15g' row template it replaces, and
+the JSON number formatter against json.dumps."""
 
 import contextlib
 import hashlib
 import io
+import json
 import math
 
 import mpmath as mp
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonic_engine import cli
-from bosonic_engine.csvformat import CSV_BLOCK_ROWS, write_csv
+from bosonic_engine.csvformat import CSV_BLOCK_ROWS, json_items, write_csv
 from bosonic_engine.states import bose_einstein
 
 
@@ -107,9 +109,78 @@ class TestTemplateEquality:
                 values = data.draw(st.lists(floats, min_size=rows, max_size=rows))
                 columns.append(np.array(values, dtype=float))
             else:
-                values = data.draw(st.lists(st.text(max_size=12), min_size=rows, max_size=rows))
+                texts = st.text(max_size=12) | st.sampled_from(["", "\x00", "a\x00b", "\x00\x00c"])
+                values = data.draw(st.lists(texts, min_size=rows, max_size=rows))
                 columns.append(np.array(values, dtype=str))
         assert_same_text(columns)
+
+
+def assert_same_json(values):
+    values = np.asarray(values, dtype=float)
+    assert json_items([values]) == [json.dumps(values.tolist())[1:-1]]
+
+
+def half_way(digits: int, exponents) -> np.ndarray:
+    """Doubles nearest to the points half-way between two decimals of the given
+    number of significant digits, with their neighbours, at each exponent."""
+    rng = np.random.default_rng(digits)
+    d = rng.integers(10 ** (digits - 1), 10**digits, (len(exponents), 300))
+    scale = np.array([10.0 ** (e - digits + 1) for e in exponents])[:, None]
+    return neighbours(((d + 0.5) * scale).ravel())
+
+
+JSON_EDGES = neighbours([
+    0.0, 5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300,
+    1e-5, 1e-4, 1e-3, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 10.0, 100.0, 1e14,
+    123456789012345.0, 999999999999999.0, 999999999999999.5, 1e15, 1e16, 1e17, 1e22, 1e23,
+    2.0**53, 2.0**53 + 2.0, 2.0**52 + 0.5, 4503599627370495.5, 9007199254740993.0,
+    0.1 + 0.2, 1 / 3, 2 / 3, math.pi, math.e, 1.7976931348623157e308,
+] + [2.0**k for k in range(-30, 64)])
+
+
+class TestJsonItems:
+    """json_items against json.dumps, whose numbers are float.__repr__."""
+
+    def test_edge_values(self):
+        special = [math.nan, -math.nan, math.inf, -math.inf, -0.0]
+        assert_same_json(JSON_EDGES)
+        assert_same_json(np.concatenate([np.resize(special, 40), JSON_EDGES]))
+
+    @pytest.mark.parametrize("digits", [15, 16, 17])
+    def test_half_way_cases(self, digits):
+        # (D + 1/2) 10^(e-P+1) is a double, an exact tie at P digits, for
+        # D + 1/2 < 2^52 at e = P - 1 (16 digits: 1e15 <= x < 2^52); elsewhere
+        # the nearest double lies just to one side of the tie.
+        assert_same_json(half_way(digits, range(-6, 19)))
+
+    def test_random_bit_patterns_and_magnitudes(self):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+        finite = np.abs(np.where(np.isfinite(bits), bits, 1.0))
+        assert_same_json(np.concatenate([bits, finite % 1e16, finite % 1e-3]))
+        assert_same_json(10.0 ** rng.uniform(-7, 18, 20000) * rng.choice([-1.0, 1.0], 20000))
+        assert_same_json(rng.standard_normal(20000))
+
+    def test_rounded_decimals_and_integers(self):
+        rng = np.random.default_rng(19)
+        places = rng.integers(0, 17, 10000)
+        values = [round(v, int(k)) for v, k in zip(rng.uniform(-1e3, 1e3, 10000), places)]
+        assert_same_json(values)
+        assert_same_json(rng.integers(-2**53, 2**53, 10000).astype(float))
+
+    def test_several_arrays_and_separators(self):
+        arrays = [np.array([0.1, -2.0, math.nan]), np.array([]), np.array([1e300]),
+                  np.array([5e-324, 3.0], dtype=np.float32)]
+        for sep in (", ", ",", ",\n      "):
+            want = [json.dumps(a.tolist(), separators=(sep, ": "))[1:-1] for a in arrays]
+            assert json_items(arrays, sep) == want
+        assert json_items([np.array([])]) == [""]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                    | st.sampled_from(JSON_EDGES.tolist()), max_size=64))
+    def test_arbitrary_floats(self, values):
+        assert json_items([np.array(values, dtype=float)]) == [json.dumps(values)[1:-1]]
 
 
 # SHA-256 of the CSVs of the README examples and of each mode's default

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -22,6 +24,7 @@ from bosonic_engine import (
     run_generalized,
     run_otto,
 )
+from bosonic_engine.cycles import ClassicalityTrace
 
 N1 = bose_einstein(1.0)
 N2 = bose_einstein(2.0)
@@ -300,3 +303,56 @@ class TestReportSerialization:
         doc = report_to_dict(report)
         assert doc["w_net_extracted"] == report.w_net_extracted
         assert doc["region"] == report.region
+
+
+def random_reports(count, seed):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        tau_cold = float(10.0 ** rng.uniform(-2, 1.5))
+        tau_hot = tau_cold * float(10.0 ** rng.uniform(0, 2))
+        r = float(rng.choice([0.0, rng.uniform(0, 0.1), rng.uniform(0, 3), rng.uniform(3, 8)]))
+        run = run_otto if k % 2 else run_generalized
+        yield run(EngineConfig(tau_cold, tau_hot, r, CycleKind.OTTO if k % 2 else
+                               CycleKind.GENERALIZED))
+
+
+class TestReportJsonText:
+    """report_to_json is the text of json.dumps(report_to_dict(report)), byte for byte."""
+
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    def test_random_configs(self, indent):
+        for report in random_reports(200, seed=23):
+            assert report_to_json(report, indent) == json.dumps(report_to_dict(report),
+                                                                indent=indent)
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, "\t"])
+    def test_extreme_trace_values(self, indent):
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-310, 1e-300,
+                           1e-5, 1e-4, 1e15, 1e16, 1e300, 1.7976931348623157e308, -2.5, 0.1])
+        report = run_generalized(gen_cfg(0.4))
+        trace = ClassicalityTrace(stroke=("squeeze",) * values.size, r=values, n=values[::-1],
+                                  c=-values)
+        report = dataclasses.replace(report, classicality_trace=trace)
+        assert report_to_json(report, indent) == json.dumps(report_to_dict(report),
+                                                            indent=indent)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_custom_labels_and_empty_lists(self, indent):
+        report = run_otto(otto_cfg(0.5))
+        trace = ClassicalityTrace(stroke=("null", 'a, "b"', "null"), r=np.array([]),
+                                  n=np.array([1.0, 0.5]), c=np.array([]))
+        for t in (trace, dataclasses.replace(trace, stroke=())):
+            report = dataclasses.replace(report, classicality_trace=t)
+            assert report_to_json(report, indent) == json.dumps(report_to_dict(report),
+                                                                indent=indent)
+
+    # SHA-256 of two reports as json.dumps(report_to_dict(report)) wrote them
+    @pytest.mark.parametrize("cfg, indent, digest", [
+        (otto_cfg(0.5), None, "7daab1e02fe9b7b0fa4eecde9cd7aa5f4668238ab765894c9787aecea84af508"),
+        (gen_cfg(1.25, tau_cold=0.3, tau_hot=5.0), 2,
+         "8061165166a9f71649dfb5057e5aa32468c4c0d76d3f4c9400bebab3705e1cef"),
+    ])
+    def test_pinned_digests(self, cfg, indent, digest):
+        run = run_otto if cfg.kind is CycleKind.OTTO else run_generalized
+        text = report_to_json(run(cfg), indent)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
