@@ -8,6 +8,7 @@ k_B = 1 everywhere.
 """
 
 __version__ = "0.1.0"
+SCHEMA_VERSION = 2  # of the cycle report JSON and the sweep manifest
 
 from .errors import CycleConsistencyError, PhysicalityError, QuadratureError
 from .states import (
@@ -17,7 +18,6 @@ from .states import (
     Temperature,
     bose_einstein,
     classicality,
-    classicality_nm,
     covariance_of,
     critical_squeezing,
     is_p_representable,
@@ -26,8 +26,6 @@ from .states import (
 from .thermo import (
     EnergyDelta,
     ThermoPath,
-    coherence_estimate,
-    free_energy_work,
     internal_energy,
     linear_path,
     piecewise_linear_path,
@@ -38,7 +36,6 @@ from .dynamics import (
     MomentState,
     MomentTrajectory,
     evolve,
-    moment_derivatives,
     steady_state,
     write_trajectory_csv,
 )

@@ -22,10 +22,15 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line on stderr, without the usage block
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bosonic-engine",
         description="Gaussian heat-engine sweeps, cycle traces and relaxation "
         "trajectories (natural units hbar = omega = k_B = 1).",

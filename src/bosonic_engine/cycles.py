@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import SCHEMA_VERSION
 from .csvformat import json_items
 from .errors import CycleConsistencyError
 from .states import (
@@ -68,6 +70,16 @@ STROKES = ("squeeze", "hot-contact", "unsqueeze", "cold-contact")
 # Overflow, 0/0 and division by zero raise FloatingPointError instead of
 # leaving inf or NaN behind a RuntimeWarning.
 _RAISE = np.errstate(over="raise", invalid="raise", divide="raise")
+
+
+@contextmanager
+def _naming(quantity: str, r_name: str, r) -> Iterator[None]:
+    """Re-raise a FloatingPointError naming the quantity and the largest squeezing r."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"{quantity} at {r_name} up to {np.max(r, initial=0.0):.6g}: {exc}") from exc
 
 
 class CycleKind(str, Enum):
@@ -213,8 +225,9 @@ def printed_efficiency(tau_cold: float, tau_hot: float, r_t: np.ndarray) -> np.n
 
     Gives 1 where f = 0 (equal temperatures).  Not the ledger efficiency.
     """
-    f, g = _printed_fg(tau_cold, tau_hot, r_t)
-    return 1.0 - np.divide(f, g, out=np.zeros_like(f), where=f != 0.0)
+    with _naming("eta_printed_fg", "r_t", r_t):
+        f, g = _printed_fg(tau_cold, tau_hot, r_t)
+        return 1.0 - np.divide(f, g, out=np.zeros_like(f), where=f != 0.0)
 
 
 def generalized_efficiency_closed_form(cfg: EngineConfig) -> float:
@@ -311,9 +324,10 @@ def _four_strokes(n_cold: float, n_hot: float, r_t: np.ndarray, r_r: np.ndarray,
 @_RAISE
 def _otto_ledger(n_cold: float, n_hot: float, r: float) -> Ledger:
     """Otto ledger: the hot contact at fixed r takes in (n_hot - n_cold) cosh 2r."""
-    r = np.array([r])
-    return _four_strokes(n_cold, n_hot, r, r, np.zeros_like(r),
-                         (n_hot - n_cold) * np.cosh(2.0 * r))
+    with _naming("Otto cycle ledger", "r", r):
+        r = np.array([r])
+        return _four_strokes(n_cold, n_hot, r, r, np.zeros_like(r),
+                             (n_hot - n_cold) * np.cosh(2.0 * r))
 
 
 @_RAISE
@@ -336,14 +350,15 @@ def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
     n2 = bose_einstein(tau_hot)
     a = n1 + 0.5
     delta = 0.5 * math.log((n2 + 0.5) / a)
-    try:
-        growth = math.expm1(4.0 * delta) / 4.0
-    except OverflowError as exc:
-        raise FloatingPointError(f"hot-contact squeezing shift r_R - r_t = {delta:.6g} "
-                                 "overflows e^{4(r_R - r_t)}") from exc
-    rise = a * np.exp(2.0 * r_t) * growth
-    shift = a * np.exp(-2.0 * r_t) * delta
-    return _four_strokes(n1, n2, r_t, r_t + delta, rise - shift, rise + shift)
+    with _naming("generalized cycle ledger", "r_t", r_t):
+        try:
+            growth = math.expm1(4.0 * delta) / 4.0
+        except OverflowError as exc:
+            raise FloatingPointError(f"hot-contact squeezing shift r_R - r_t = {delta:.6g} "
+                                     "overflows e^{4(r_R - r_t)}") from exc
+        rise = a * np.exp(2.0 * r_t) * growth
+        shift = a * np.exp(-2.0 * r_t) * delta
+        return _four_strokes(n1, n2, r_t, r_t + delta, rise - shift, rise + shift)
 
 
 _TRACE_U = np.linspace(0.0, 1.0, TRACE_POINTS_PER_STROKE)
@@ -416,11 +431,12 @@ def run_generalized(cfg: EngineConfig) -> CycleReport:
 
 
 def _state_dict(state: SqueezedThermalState) -> dict:
-    return {"n_th": state.n_th, "r": state.r, "theta": state.theta}
+    return {"n_th": state.n_th, "r": state.r}
 
 
 def _report_dict(report: CycleReport, trace: dict) -> dict:
     return {
+        "schema_version": SCHEMA_VERSION,
         "strokes": [
             {
                 "label": s.label,

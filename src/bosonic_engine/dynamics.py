@@ -32,7 +32,6 @@ __all__ = [
     "BathSpec",
     "MomentState",
     "MomentTrajectory",
-    "moment_derivatives",
     "evolve",
     "steady_state",
     "write_trajectory_csv",
@@ -85,32 +84,13 @@ class MomentTrajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def state_at(self, i: int) -> MomentState:
-        return MomentState(n=float(self.n[i]), m=float(self.m[i]))
-
     def terminal(self) -> MomentState:
-        return self.state_at(len(self) - 1)
+        return MomentState(n=float(self.n[-1]), m=float(self.m[-1]))
 
 
 def steady_state(bath: BathSpec) -> SqueezedThermalState:
     """Stationary squeezed thermal state of the bath-contact dynamics."""
     return SqueezedThermalState(n_th=bose_einstein(bath.tau), r=bath.r_bath)
-
-
-def _fixed_point(bath: BathSpec) -> tuple[float, float]:
-    try:
-        cm = covariance_of(steady_state(bath))
-        if not (math.isfinite(cm.n_cm) and math.isfinite(cm.m_cm)):  # 2 r_bath overflows
-            raise OverflowError
-    except OverflowError as exc:  # cosh 2r beyond the float range
-        raise FloatingPointError(f"bath covariance overflows at r_bath={bath.r_bath:.6g}") from exc
-    return cm.n_cm, cm.m_cm
-
-
-def moment_derivatives(s: MomentState, bath: BathSpec) -> tuple[float, float]:
-    """Right-hand side of the closed moment ODEs; zero at the bath CM."""
-    n_env, m_env = _fixed_point(bath)
-    return bath.gamma * (n_env - s.n), bath.gamma * (m_env - s.m)
 
 
 def rk4_steps(t_final: float, dt_max: float) -> int:
@@ -157,10 +137,16 @@ def evolve(s0: MomentState, bath: BathSpec, t_final: float, dt_max: float) -> Mo
     if not abs(growth) <= 1.0:
         raise ValueError(f"RK4 step gamma*dt = {-z:.6g} is unstable (|R(-gamma*dt)| = "
                          f"{abs(growth):.6g} > 1); use dt_max <= {2.785 / bath.gamma:.6g}")
-    n_env, m_env = _fixed_point(bath)
+    try:
+        env = covariance_of(steady_state(bath))
+        if not (math.isfinite(env.n_cm) and math.isfinite(env.m_cm)):  # 2 r_bath overflows
+            raise OverflowError
+    except OverflowError as exc:  # cosh 2r beyond the float range
+        raise FloatingPointError(
+            f"bath covariance overflows at r_bath={bath.r_bath:.6g}") from exc
 
     times = np.linspace(0.0, t_final, steps + 1)
-    n, m, c = _iterates(s0, n_env, m_env, classicality(steady_state(bath)),
+    n, m, c = _iterates(s0, env.n_cm, env.m_cm, classicality(steady_state(bath)),
                         math.log1p(growth_m1), steps)
     bad = ~is_physical_nm(n, m, PHYSICALITY_SLACK)
     if bad.any():

@@ -3,8 +3,8 @@
 Natural units throughout: hbar = omega = k_B = 1, so temperatures are
 dimensionless and energies are in units of hbar*omega.  All states carry
 zero displacement and are fully described by the two covariance-matrix
-parameters (n, m).  The squeezing phase is fixed to theta = 0, which keeps
-m real and non-negative.
+parameters (n, m).  The squeezing phase is zero, which keeps m real and
+non-negative.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "is_p_representable",
     "is_physical_nm",
     "classicality",
-    "classicality_nm",
     "classicality_grid",
     "critical_squeezing",
     "BOUNDARY_TOL",
@@ -56,25 +55,20 @@ class Temperature:
 
 @dataclass(frozen=True)
 class SqueezedThermalState:
-    """Squeezed thermal state of a single bosonic mode.
+    """Squeezed thermal state of a single bosonic mode, at zero squeezing phase.
 
-    Parametrized by the thermal occupancy n_th >= 0 of the underlying
-    thermal state, the squeezing magnitude r >= 0, and the squeezing
-    phase theta.  Only theta = 0 is supported; carrying the field keeps
-    the general-phase extension point explicit.
+    Thermal occupancy n_th >= 0 of the underlying thermal state and
+    squeezing magnitude r >= 0.
     """
 
     n_th: float
     r: float
-    theta: float = 0.0
 
     def __post_init__(self):
         if not (self.n_th >= 0.0) or not math.isfinite(self.n_th):
             raise ValueError(f"thermal occupancy must be >= 0, got n_th={self.n_th}")
         if not (self.r >= 0.0) or not math.isfinite(self.r):
             raise ValueError(f"squeezing magnitude must be >= 0, got r={self.r}")
-        if self.theta != 0.0:
-            raise ValueError("only theta = 0 squeezing is supported")
 
 
 @dataclass(frozen=True)
@@ -177,11 +171,6 @@ def is_p_representable(cm: CovarianceMatrix) -> bool:
             "violates the symplectic uncertainty relation"
         )
     return cm.n_cm >= abs(cm.m_cm)
-
-
-def classicality_nm(n_cm: float, m_cm: float) -> float:
-    """Classicality C = n_cm - |m_cm| straight from CM parameters."""
-    return n_cm - abs(m_cm)
 
 
 def classicality(state: SqueezedThermalState) -> float:

@@ -1,12 +1,12 @@
 """Parameter sweeps and their CSV/manifest serialization.
 
 Every sweep writes one CSV data file plus a JSON manifest
-(``<output>.manifest.json``) echoing the spec, the column schema, the
-tool version, the natural-units convention, the row count, and the
-wall-clock duration with its compute and CSV-write phases.  CSV output is
-deterministic: every number is the text of format(x, '.15g'), with a '.'
-decimal separator, a header row, and every line ending in '\\n' (LF) in
-every mode.
+(``<output>.manifest.json``) giving the schema version and echoing the
+spec, the column schema, the tool version, the natural-units convention,
+the row count, and the wall-clock duration with its compute and CSV-write
+phases.  CSV output is deterministic: every number is the text of
+format(x, '.15g'), with a '.' decimal separator, a header row, and every
+line ending in '\\n' (LF) in every mode.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import SCHEMA_VERSION, __version__
 from .cycles import (
     CycleKind,
     EngineConfig,
@@ -80,8 +80,6 @@ class SweepSpec:
     points: int = 201
     output_path: str = field(
         default="", metadata={"flag": "--output", "help": "CSV output path"})
-    quad_tol: float = field(
-        default=1e-10, metadata={"help": "accepted and validated; no mode integrates a path"})
     kind: str = field(
         default="otto", metadata={"choices": KINDS, "help": "cycle kind for cycle-trace"})
     r_work: float = field(default=0.0, metadata={
@@ -139,17 +137,14 @@ def build_spec(values: dict) -> SweepSpec:
             or not 2 <= merged["points"] <= MAX_POINTS:
         problems.append(f"points must be an integer in [2, {MAX_POINTS}], "
                         f"got {merged['points']!r}")
-    number("quad_tol", lambda v: 0 < v <= 1e-3, "must be in (0, 1e-3]")
     number("r_work", lambda v: v >= 0 and math.isfinite(v), "must be >= 0")
     steps_known = all([number("gamma", lambda v: v > 0 and math.isfinite(v), "must be > 0"),
-                       number("t_final", lambda v: v >= 0 and math.isfinite(v), "must be >= 0")])
+                       number("t_final", lambda v: v >= 0 and math.isfinite(v), "must be >= 0"),
+                       merged["dt_max"] is None
+                       or number("dt_max", lambda v: v > 0, "must be > 0 when given")])
     if merged["kind"] not in KINDS:
         problems.append(f"kind must be 'otto' or 'generalized', got {merged['kind']!r}")
-    if merged["dt_max"] is not None and not (
-        isinstance(merged["dt_max"], (int, float)) and merged["dt_max"] > 0
-    ):
-        problems.append(f"dt_max must be > 0 when given, got {merged['dt_max']!r}")
-    elif steps_known:
+    if steps_known:
         try:
             rk4_steps(merged["t_final"], _dt_max(merged["dt_max"], merged["gamma"]))
         except ValueError as exc:
@@ -281,6 +276,7 @@ def run_sweep(spec: SweepSpec) -> str:
             write_csv(fh, COLUMNS[spec.mode], columns)
         written = time.monotonic()
         manifest = {
+            "schema_version": SCHEMA_VERSION,
             "spec": dataclasses.asdict(spec),
             "tool_version": __version__,
             "units_note": UNITS_NOTE,

@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import QuadratureError
-from .states import SqueezedThermalState, covariance_of, tau_of_occupancy
+from .states import SqueezedThermalState
 
 __all__ = [
     "ThermoPath",
     "EnergyDelta",
     "internal_energy",
     "work_heat_along",
-    "coherence_estimate",
-    "free_energy_work",
     "linear_path",
     "piecewise_linear_path",
 ]
@@ -146,33 +144,6 @@ def work_heat_along(path: ThermoPath, quad_tol: float = DEFAULT_QUAD_TOL) -> Ene
             achieved=mismatch,
         )
     return EnergyDelta(work_on=work_on, heat_in=heat_in, dE=d_e)
-
-
-def coherence_estimate(state: SqueezedThermalState) -> float:
-    """Relative-entropy-of-coherence estimate beta_s * m.
-
-    beta_s = cosh(2r)/tau(n_th) and m = (n_th + 1/2) sinh(2r).  This is the
-    generalized-Gibbs approximation, not an exact entropy computation; it
-    diverges (domain error) at n_th = 0.
-    """
-    beta_s = math.cosh(2.0 * state.r) / tau_of_occupancy(state.n_th)
-    return beta_s * covariance_of(state).m_cm
-
-
-def free_energy_work(
-    state_a: SqueezedThermalState,
-    state_b: SqueezedThermalState,
-    bath_r: float,
-) -> float:
-    """Isothermal squeezed-bath work/free-energy change mu * delta-m.
-
-    mu = tanh(2 * bath_r) and delta-m the change of the coherence
-    parameter between the two states; vanishes for an unsqueezed bath or
-    unchanged m.  Exposed as a standalone relation, not wired into the
-    cycle ledgers.
-    """
-    delta_m = covariance_of(state_b).m_cm - covariance_of(state_a).m_cm
-    return math.tanh(2.0 * bath_r) * delta_m
 
 
 def linear_path(

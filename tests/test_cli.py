@@ -34,7 +34,6 @@ class TestParseConfig:
         spec = parse_config('{"mode": "otto-sweep", "tau_cold": 1.0, "tau_hot": 2.0}')
         assert spec.mode == "otto-sweep"
         assert spec.points == 201
-        assert spec.quad_tol == 1e-10
         assert spec.r_min == 0.0 and spec.r_max == 3.0
         assert spec.output_path == "otto-sweep.csv"
 
@@ -49,12 +48,12 @@ class TestParseConfig:
 
     def test_all_violations_listed(self):
         doc = json.dumps(
-            {"mode": "bad-mode", "points": 1, "r_min": 2.0, "r_max": 1.0, "quad_tol": 0.5}
+            {"mode": "bad-mode", "points": 1, "r_min": 2.0, "r_max": 1.0, "gamma": -0.5}
         )
         with pytest.raises(UsageError) as err:
             parse_config(doc)
         message = str(err.value)
-        for fragment in ("mode", "points", "r_min", "quad_tol"):
+        for fragment in ("mode", "points", "r_min", "gamma"):
             assert fragment in message
 
     def test_missing_mode(self):
@@ -216,6 +215,8 @@ class TestRunSweep:
         assert "natural units" in manifest["units_note"]
         assert manifest["duration_seconds"] >= 0.0
         assert manifest["tool_version"]
+        assert manifest["schema_version"] == 2
+        assert "quad_tol" not in manifest["spec"]
 
     def test_deterministic_output(self, tmp_path):
         payloads = []
@@ -260,6 +261,38 @@ class TestCliMain:
 
     def test_unknown_mode_exit_two(self, capsys):
         assert cli.main(["not-a-mode"]) == 2
+        err = capsys.readouterr().err
+        assert "not-a-mode" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, fragment", [
+        ([], "required: MODE"),
+        (["otto-sweep", "--points", "x"], "--points: invalid int value: 'x'"),
+        (["cycle-trace", "--kind", "carnot"], "--kind: invalid choice: 'carnot'"),
+    ])
+    def test_argument_errors_are_one_line(self, capsys, argv, fragment):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert fragment in err and err.count("\n") == 1 and err.startswith("bosonic-engine")
+
+    def test_removed_quad_tol_flag_exits_two(self, tmp_path, capsys):
+        code = cli.main(["otto-sweep", "--quad-tol", "1e-8", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--quad-tol" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("quad_tol", 1e-10, "unknown keys: quad_tol"),  # a field of schema version 1
+        ("dt_max", True, "dt_max must be > 0 when given, got True"),
+    ])
+    def test_rejected_config_key_exits_two(self, tmp_path, capsys, key, value, fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "relaxation", "t_final": 1.0, key: value,
+                                   "output_path": str(tmp_path / "x.csv")}))
+        assert cli.main(["relaxation", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_bad_config_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -318,7 +351,7 @@ class TestSizeCaps:
 def test_spec_defaults_match_documented_values():
     spec = SweepSpec(mode="otto-sweep")
     assert spec.tau_cold == 1.0 and spec.tau_hot == 2.0
-    assert spec.points == 201 and spec.quad_tol == 1e-10
+    assert spec.points == 201 and spec.dt_max is None
 
 
 class TestNumericRobustness:
@@ -330,7 +363,17 @@ class TestNumericRobustness:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure") and err.count("\n") == 1
+        assert "generalized cycle ledger at r_t up to 400:" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_generalized_trace_names_the_ledger(self, tmp_path, capsys):
+        code = cli.main(["cycle-trace", "--kind", "generalized", "--r-work", "350",
+                         "--tau-cold", "1e-3", "--tau-hot", "1e3",
+                         "--output", str(tmp_path / "trace.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: generalized cycle ledger at r_t up to 350:")
+        assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["otto-sweep", "phase-diagram", "classicality-curve"])
     def test_large_squeezing_rows_stay_finite(self, tmp_path, mode):
@@ -364,6 +407,7 @@ class TestNumericEdges:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure") and err.count("\n") == 1
+        assert "Otto cycle ledger at r up to 400:" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_small_temperatures_give_finite_rows(self, tmp_path):
@@ -465,7 +509,7 @@ class TestOutputFormat:
     def test_subcommand_flags_unchanged(self):
         expected = {
             "-h", "--help", "--config", "--tau-cold", "--tau-hot", "--tau-third",
-            "--r-min", "--r-max", "--points", "--output", "--quad-tol", "--kind",
+            "--r-min", "--r-max", "--points", "--output", "--kind",
             "--r-work", "--gamma", "--t-final", "--dt-max",
         }
         sub = next(a for a in cli._build_parser()._actions
@@ -554,7 +598,7 @@ def test_large_squeezing_closes_the_cycle(tmp_path, argv):
 def test_printed_fg_overflow_past_the_domain_exits_three(tmp_path, capsys):
     assert cli.main(["generalized-sweep", "--r-max", "100",
                      "--output", str(tmp_path / "out.csv")]) == 3
-    assert capsys.readouterr().err.startswith("numeric failure")
+    assert capsys.readouterr().err.startswith("numeric failure: eta_printed_fg at r_t up to 100:")
     assert list(tmp_path.iterdir()) == []
 
 

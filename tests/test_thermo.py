@@ -7,8 +7,6 @@ from bosonic_engine import (
     QuadratureError,
     SqueezedThermalState,
     ThermoPath,
-    coherence_estimate,
-    free_energy_work,
     internal_energy,
     linear_path,
     piecewise_linear_path,
@@ -136,44 +134,6 @@ class TestWorkHeatAlong:
                 - internal_energy(SqueezedThermalState(n_th - h, r))
             ) / (2 * h)
             assert de_dn == pytest.approx(math.cosh(2 * r), abs=1e-6)
-
-
-class TestCoherenceEstimate:
-    def test_no_squeezing_no_coherence(self):
-        assert coherence_estimate(SqueezedThermalState(0.9, 0.0)) == 0.0
-
-    def test_reference_value(self):
-        # frozen from cosh(0.6) * (n(1) + 1/2) sinh(0.6) at tau = 1
-        est = coherence_estimate(SqueezedThermalState(N1, 0.3))
-        assert est == pytest.approx(0.8166010132376861, abs=1e-9)
-
-    def test_increasing_in_r(self):
-        rs = np.linspace(0.0, 1.5, 40)
-        vals = [coherence_estimate(SqueezedThermalState(0.8, float(r))) for r in rs]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_zero_occupancy_rejected(self):
-        with pytest.raises(ValueError):
-            coherence_estimate(SqueezedThermalState(0.0, 0.3))
-
-
-class TestFreeEnergyWork:
-    def test_equal_states(self):
-        s = SqueezedThermalState(0.5, 0.4)
-        assert free_energy_work(s, s, bath_r=0.3) == 0.0
-
-    def test_unsqueezed_bath(self):
-        a = SqueezedThermalState(0.5, 0.0)
-        b = SqueezedThermalState(0.5, 0.7)
-        assert free_energy_work(a, b, bath_r=0.0) == 0.0
-
-    def test_reference_value(self):
-        # frozen from tanh(0.6) * (n(2) + 1/2) sinh(0.6)
-        a = SqueezedThermalState(N2, 0.0)
-        b = SqueezedThermalState(N2, 0.3)
-        assert free_energy_work(a, b, bath_r=0.3) == pytest.approx(
-            0.698016490995018, abs=1e-9
-        )
 
 
 def test_quadrature_failure_reports_achieved_tolerance():
