@@ -7,18 +7,22 @@ are float.__repr__: the fewest digits that read back to the same double,
 the closest such digits when there is a choice.  Both are byte for byte,
 but format all cells of a block at once:
 
-* A finite x with 1e-5 <= |x| < 1e15 gets its correctly rounded 17-digit
-  integer D17 = round(y), y = |x| 10^(16-e), e its decimal exponent, and
-  the exact residual y - D17: 10^(16-e) is exact, and Dekker's TwoProduct
-  gives the exact error of the rounded product.  The 15- and 16-digit
-  roundings D15 and D16 of y, ties to even, follow from D17 and the sign
-  of the residual, with no fallback.
-* '%.15g' prints D15 in fixed notation for 1e-4 <= |x| < 1e15 after the
-  rounding.  repr prints the first D_P of D15, D16, D17 that reads back as
-  x, which 10^(17-P) D_P does exactly when it lies within
-  h = ulp(x)/2 10^(16-e) of y; h is a power of two times an exact power of
-  ten.  Python formats a cell within 2^-40 h of that bound and a power of
-  two, whose read-back interval is lopsided.  Zero is '0' or '0.0'.
+* A finite x with 1e-4 <= |x| < 1e15 and decimal exponent e is scaled by
+  an exact power of ten to y = |x| 10^(P-1-e) in [10^(P-1), 10^P), and
+  Dekker's TwoProduct gives the exact error y - p of the rounded product
+  p = fl(y).  '%.15g' prints D15 = round(y), ties to even, in fixed
+  notation.  For P = 15, p lies in [1e14, 1e15], so it is a multiple of
+  ulp(p), which lies in [1/64, 1/8], and y lies within ulp(p)/2 of it:
+  D15 = rint(p) unless p is half-way between two integers, at most one
+  cell in eight.  There the sign of y - p rounds up or down, and y = p
+  rounds to even; only those cells need the TwoProduct.
+* repr prints the first D_P of D15, D16, D17 that reads back as x, which
+  10^(17-P) D_P does exactly when it lies within h = ulp(x)/2 10^(16-e) of
+  y; h is a power of two times an exact power of ten.  They follow from
+  D17 = round(y) at P = 17 and its exact residual y - D17, with no
+  fallback.  Python formats a cell within 2^-40 h of that bound and a
+  power of two, whose read-back interval is lopsided.  Zero is '0' or
+  '0.0'.
 * Every cell is a row of 4-byte words: the separator that precedes the
   cell and '-0.', then '000', then the 3-digit groups of the digits, each
   from a table that can place the decimal point inside the group.  A
@@ -49,19 +53,20 @@ CSV_BLOCK_ROWS = 1024
 # A number's decimal exponent e is indexed as ei = e + 5; both formats
 # print e = -4..14 (ei = 1..19) in fixed notation.
 _N_FIXED = 19
-# _FIXED and _ZERO_GROUP are looked up rather than compared: the int64
-# comparison loops would fault in more numpy code and raise peak memory.
-_FIXED = np.array([1 <= ei <= _N_FIXED for ei in range(21)])     # fixed notation at ei
-# 10^e, correctly rounded; none lies below 10^e, so |x| >= _POW10[ei] gives y >= 1e16.
-_POW10 = np.array([float(f"1e{e}") for e in range(-5, 16)])
-_SCALE = np.array([float(10 ** (21 - ei)) for ei in range(20)])   # 10^(16 - e), exact
+# 10^(e+1) at ei, correctly rounded; none lies below the exact power, so
+# |x| >= _POW10_NEXT[ei] exactly when |x| >= 10^(e+1).
+_POW10_NEXT = np.array([float(f"1e{e}") for e in range(-4, 16)])
+# 10^(21 - k), exact: 10^(P - 1 - e) = _SCALE[17 - P + ei] scales to P = 15
+# or 17 digits.  Each splits into two 26-bit halves.
+_SCALE = np.array([float(10 ** (21 - k)) for k in range(22)])
 _SPLIT = 134217729.0                                              # 2^27 + 1 (Veltkamp)
 _SCALE_HI = _SCALE * _SPLIT - (_SCALE * _SPLIT - _SCALE)
 _SCALE_LO = _SCALE - _SCALE_HI
-# ei of the lower end of each binade that meets [1e-5, 1e15); biased exponents from 1006.
-_BINADE_MIN = 1006
-_BINADE_EI = np.array([bisect.bisect(_POW10.tolist(), math.ldexp(1.0, b - 1023)) - 1
-                       for b in range(_BINADE_MIN, 1073)])
+# ei of the lower end of each binade up to that of 1e15, by biased exponent;
+# the binades below 1e-4 are never looked up.
+_BINADE_EI = np.zeros(1073, np.intp)
+_BINADE_EI[1009:] = [bisect.bisect(_POW10_NEXT.tolist(), math.ldexp(1.0, b - 1023))
+                     for b in range(1009, 1073)]
 _EXPONENT_BITS = 0x7FF << 52
 _MANTISSA_BITS = (1 << 52) - 1
 _NEAR = 2.0 ** -40       # relative margin of the read-back test
@@ -72,7 +77,7 @@ _CSV_GROUPS = 5
 _JSON_GROUPS = 6
 _CSV_WORDS = 2 + _CSV_GROUPS
 _DROP = 0xFF
-_SIGN_POINT, _ZEROS = np.frombuffer(b"\0-0.000\xff", np.uint32)
+_CONSTANT_WORDS = np.frombuffer(b",-0.000\xff", np.uint32)     # separator, '-0.', '000'
 _SPACE_TO_DROP = bytes.maketrans(b" ", b"\xff")
 
 
@@ -89,11 +94,19 @@ def _group_words() -> np.ndarray:
 # Per digit group and ei: the table offset that puts the point of
 # e = 0..14 after the right digit of its group; no point for e < 0.
 _DOT_OFFSET = np.array([[1000 * ((ei - 5) % 3 + 1) if 5 <= ei <= 19 and (ei - 5) // 3 == k
-                         else 0 for ei in range(21)] for k in range(_JSON_GROUPS)])
-# Trailing zeros of a 3-digit group; 3 for 0.
-_TRAILING_ZEROS = np.array([3 if g == 0 else 2 if g % 100 == 0 else 1 if g % 10 == 0 else 0
-                            for g in range(1000)])
-_ZERO_GROUP = np.arange(1000) == 0
+                         else 0 for ei in range(21)] for k in range(_JSON_GROUPS)], np.int64)
+# The trailing zero digits of D, counted group by group from the lowest:
+# the state is the count so far, plus _TRAILING while every group so far is
+# 000, and the next state is _ZERO_STATE[64 group + state].  int8 keeps
+# the table, and the arrays built for it, small.
+_TRAILING = 32
+_ZERO_STATE = np.empty((1000, 2, _TRAILING), np.int8)
+_ZERO_STATE[:, 0] = np.arange(_TRAILING)                 # the count is final
+_ZERO_STATE[:, 1] = np.arange(_TRAILING, dtype=np.int8)  # ends with the group's zeros
+_ZERO_STATE[::10, 1] += 1
+_ZERO_STATE[::100, 1] += 1
+_ZERO_STATE[0, 1] = np.arange(_TRAILING + 3, 2 * _TRAILING + 3)   # 000: still trailing
+_ZERO_STATE = _ZERO_STATE.ravel()
 
 
 @functools.cache
@@ -111,7 +124,10 @@ def _row_base(groups: int) -> np.ndarray:
 
 @functools.cache
 def _drop_masks(words: int, groups: int) -> np.ndarray:
-    """Drop-mask rows of a cell of ``words`` words: 0xFF where a byte is dropped."""
+    """Drop-mask rows of a cell of ``words`` words: 0xFF where a byte is dropped.
+
+    The separator ',' and the bytes of '-0.' and '000' are set where kept.
+    """
     json_style = groups == _JSON_GROUPS             # repr: a digit always follows the point
     rows = bytearray()
     for e in range(-4, 15):
@@ -134,7 +150,9 @@ def _drop_masks(words: int, groups: int) -> np.ndarray:
     masks = np.frombuffer(bytes(rows), np.uint8).reshape(-1, 4 * words)
     negative = masks.copy()
     negative[:, 1] = 0                                  # the sign
-    return np.concatenate([masks[:-1], negative[:-1], masks[-1:], negative[-1:]]).view(np.uint32)
+    masks = np.concatenate([masks[:-1], negative[:-1], masks[-1:], negative[-1:]]).view(np.uint32)
+    masks[:, :2] |= _CONSTANT_WORDS
+    return masks
 
 
 def _text_bytes(col: np.ndarray) -> np.ndarray:
@@ -168,41 +186,84 @@ def _fill(cell_bytes: np.ndarray, where: np.ndarray, padded: str) -> None:
     cell_bytes[where, 1:] = np.frombuffer(text, np.uint8).reshape(-1, cell_bytes.shape[1] - 1)
 
 
+def _scaled(x: np.ndarray, digits: int):
+    """|x|, p = fl(y) for y = |x| 10^(digits - 1 - e), the exponent index ei, and
+    where 1e-4 <= |x| < 1e15; other cells get |x| = 1."""
+    a = np.abs(x)
+    fast = a >= 1e-4
+    fast &= a < 1e15
+    np.copyto(a, 1.0, where=~fast)
+    ei = np.take(_BINADE_EI, a.view(np.int64) >> 52)
+    ei += a >= np.take(_POW10_NEXT, ei)
+    return a, a * np.take(_SCALE[17 - digits:], ei), ei, fast
+
+
+def _product_error(a: np.ndarray, p: np.ndarray, ei: np.ndarray, digits: int) -> np.ndarray:
+    """The exact error y - p of the p of :func:`_scaled`.
+
+    Dekker's TwoProduct: a is split into two 26-bit halves like the scale,
+    so every partial product is exact.  Overwrites a.
+    """
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    a -= a_hi                                    # the low half
+    scale = np.take(_SCALE_HI[17 - digits:], ei)
+    err = a_hi * scale
+    err -= p
+    scale *= a
+    err += scale
+    np.take(_SCALE_LO[17 - digits:], ei, out=scale)
+    a_hi *= scale
+    err += a_hi
+    scale *= a
+    err += scale
+    return err
+
+
 def _decimal_digits(x: np.ndarray):
-    """D17, the residual y - D17, the exponent index ei and where 1e-5 <= |x| < 1e15.
+    """D17, the residual y - D17, the exponent index ei and where 1e-4 <= |x| < 1e15.
 
     y = |x| 10^(16 - e) = p + err exactly (TwoProduct).  p lies in
     [1e16, 1e17], so it is an even integer: D17 = p + rint(err), ties to
     even, and y - D17 = err - rint(err), exact by Sterbenz's lemma.  Other
     cells get the D17 and ei of 1.
     """
-    a = np.abs(x)
-    fast = a >= 1e-5
-    fast &= a < 1e15
-    np.copyto(a, 1.0, where=~fast)
-    ei = _BINADE_EI[(a.view(np.int64) >> 52) - _BINADE_MIN]
-    ei += a >= _POW10[ei + 1]
-
-    p = a * _SCALE[ei]
-    a_hi = a * _SPLIT
-    a_hi -= a_hi - a
-    a -= a_hi                                    # the low half
-    scale = _SCALE_HI[ei]
-    err = a_hi * scale
-    err -= p
-    scale *= a
-    err += scale
-    np.take(_SCALE_LO, ei, out=scale)
-    a_hi *= scale
-    err += a_hi
-    scale *= a
-    err += scale
-    del a, a_hi, scale
+    a, p, ei, fast = _scaled(x, 17)
+    err = _product_error(a, p, ei, 17)
     d = p.astype(np.int64)
     np.rint(err, out=p)
     d += p.astype(np.int64)
     err -= p                                     # y - D17
     return d, err, ei, fast
+
+
+def _csv_digits(x: np.ndarray):
+    """D15 = round(y), ties to even, for y = |x| 10^(14 - e), ei, and where '%.15g'
+    prints 1e-4 <= |x| < 1e15 in fixed notation.
+
+    p = fl(y) decides D15 unless it is half-way, where the sign of the
+    TwoProduct error y - p does (see the module docstring).  A D15 of 10^15
+    is 10^14 at the next exponent.  Other cells get the D15 and ei of 1.
+    """
+    a, p, ei, fast = _scaled(x, 15)
+    d = np.rint(p)
+    off = p - d
+    half = np.flatnonzero(np.abs(off, out=off) == 0.5)
+    del off
+    if half.size:                                # the sign of y - p decides
+        p = p[half]
+        err = _product_error(a[half], p, ei[half], 15)
+        rounded = d[half]                        # to even where y = p
+        np.copyto(rounded, p + 0.5, where=err > 0)
+        np.copyto(rounded, p - 0.5, where=err < 0)
+        d[half] = rounded
+    del a, p
+    carry = np.flatnonzero(d == 1e15)
+    if carry.size:                               # rounded up to a power of ten
+        d[carry] = 1e14
+        ei[carry] += 1
+        fast[carry] &= ei[carry] <= _N_FIXED     # 1e+15
+    return d.astype(np.int64), ei, fast
 
 
 def _round_off(d17: np.ndarray, residual: np.ndarray, unit: int):
@@ -225,25 +286,28 @@ def _round_off(d17: np.ndarray, residual: np.ndarray, unit: int):
 def _digit_groups(d: np.ndarray, ei: np.ndarray, groups: int):
     """The words of the 3-digit groups of each D, point included, and D's trailing zeros."""
     words = np.empty((groups, d.size), np.uint32)
-    zeros = np.zeros_like(d)
-    trailing = np.ones(d.size, bool)             # every group so far is 000
+    state = np.full(d.size, _TRAILING, np.int8)
     for k in range(groups - 1, -1, -1):
         high = d // 1000
         group = high * -1000
         group += d
-        zeros += trailing * _TRAILING_ZEROS[group]
-        trailing &= _ZERO_GROUP[group]
-        group += _DOT_OFFSET[k][ei]
-        np.take(_group_words(), group, out=words[k])
+        index = group * 64
+        index += state
+        # every index is in range; 'raise' would copy through a buffer
+        np.take(_ZERO_STATE, index, out=state, mode="clip")
+        np.take(_DOT_OFFSET[k], ei, out=index, mode="clip")
+        group += index
+        np.take(_group_words(), group, out=words[k], mode="clip")
         d = high
-    return words, zeros
+    state &= _TRAILING - 1                       # 3 per group for D = 0
+    return words, state
 
 
 def _number_cells(x: np.ndarray, d: np.ndarray, ei: np.ndarray, fast: np.ndarray,
                   words: int, groups: int) -> np.ndarray:
     """Cells of the numbers x whose digits d have the given groups; zeros join fast."""
     group_words, zeros = _digit_groups(d, ei, groups)
-    row = _row_base(groups)[ei]
+    row = np.take(_row_base(groups), ei)
     row -= zeros
     negative = np.signbit(x)
     row += negative * (3 * groups * _N_FIXED)
@@ -252,12 +316,11 @@ def _number_cells(x: np.ndarray, d: np.ndarray, ei: np.ndarray, fast: np.ndarray
     fast[zero] = True
     del zeros, negative
 
-    # the drop mask of each cell, then its bytes: separator, '-0.', '000', digits
+    # the drop mask of each cell with its separator, '-0.' and '000', then its digits
     cells = np.take(_drop_masks(words, groups), row, axis=0)
     del row
-    cells[:, 0] |= _SIGN_POINT
-    cells[:, 1] |= _ZEROS
-    cells[:, 2:2 + groups] |= group_words.T
+    for k, group_words_k in enumerate(group_words):
+        cells[:, 2 + k] |= group_words_k
     return cells
 
 
@@ -271,18 +334,10 @@ def _format_block(columns: list[np.ndarray]) -> bytes:
         x[:, j] = 1.0 if text is not None else col
     x = x.ravel()
 
-    d, residual, ei, fast = _decimal_digits(x)
-    d = _round_off(d, residual, 100)[0]
-    del residual
-    carry = np.flatnonzero(d == 10**15)
-    if carry.size:                               # rounded up to a power of ten
-        d[carry] = 10**14
-        ei[carry] += 1
-    fast &= _FIXED[ei]
+    d, ei, fast = _csv_digits(x)
     cells = _number_cells(x, d, ei, fast, words, _CSV_GROUPS)
     del d, ei
     cell_bytes = cells.view(np.uint8)
-    cell_bytes[:, 0] = ord(",")
     cell_bytes[::ncols, 0] = ord("\n")
 
     slow = np.flatnonzero(~fast)
@@ -292,7 +347,9 @@ def _format_block(columns: list[np.ndarray]) -> bytes:
     for j, text in enumerate(texts):
         if text is not None:
             _place(cell_bytes, slice(j, None, ncols), text)
-    return cells.tobytes().translate(None, b"\xff")
+    raw = cells.tobytes()
+    del x, cells, cell_bytes                     # not held beside the text
+    return raw.translate(None, b"\xff")
 
 
 def write_csv(fh, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
@@ -311,7 +368,6 @@ def write_csv(fh, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
 def _shortest_digits(x: np.ndarray):
     """repr's digits of each x as an 18-digit integer, the exponent index and where they hold."""
     d17, residual, ei, fast = _decimal_digits(x)
-    fast &= _FIXED[ei]
     bits = x.view(np.int64)
     fast &= (bits & _MANTISSA_BITS) != 0         # not a power of two
     h = np.where(fast, bits & _EXPONENT_BITS, 1023 << 52) - (53 << 52)
@@ -345,7 +401,6 @@ def json_items(arrays: list[np.ndarray], sep: str = ", ") -> list[str]:
     cells = _number_cells(x, d, ei, fast, 2 + _JSON_GROUPS, _JSON_GROUPS)
     del d, ei
     cell_bytes = cells.view(np.uint8)
-    cell_bytes[:, 0] = ord(",")
     starts = np.cumsum(sizes) - sizes
     cell_bytes[starts[np.array(sizes) > 0], 0] = ord("\n")    # each array's first item
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -66,6 +67,9 @@ __all__ = [
 FIRST_LAW_TOL = 1e-9
 TRACE_POINTS_PER_STROKE = 256
 STROKES = ("squeeze", "hot-contact", "unsqueeze", "cold-contact")
+
+# The largest x whose e^x is finite.
+_EXP_ARG_MAX = math.log(sys.float_info.max)
 
 # Overflow, 0/0 and division by zero raise FloatingPointError instead of
 # leaving inf or NaN behind a RuntimeWarning.
@@ -192,7 +196,6 @@ def generalized_r_hot(cfg: EngineConfig) -> float:
     return float(generalized_ledger(cfg.tau_cold, cfg.tau_hot, cfg.r_work).r[2, 0])
 
 
-@_RAISE
 def _printed_fg(tau_cold: float, tau_hot: float, r_t: np.ndarray):
     x1 = 1.0 / (2.0 * tau_cold)
     x2 = 1.0 / (2.0 * tau_hot)
@@ -206,6 +209,7 @@ def _printed_fg(tau_cold: float, tau_hot: float, r_t: np.ndarray):
     return f, g
 
 
+@_RAISE
 def closed_form_terms(cfg: EngineConfig) -> tuple[float, float]:
     """The printed numerator f and denominator g of the generalized
     efficiency, evaluated verbatim.
@@ -213,7 +217,8 @@ def closed_form_terms(cfg: EngineConfig) -> tuple[float, float]:
     These expressions do NOT reproduce the first-law ledger (g changes
     sign near r_t = 0 and the quotient can exceed 1); they are kept as a
     faithful record of the printed form.  :func:`run_generalized` is the
-    authoritative efficiency.
+    authoritative efficiency.  Raises FloatingPointError where f or g
+    overflows.
     """
     f, g = _printed_fg(cfg.tau_cold, cfg.tau_hot, np.array([cfg.r_work]))
     return float(f[0]), float(g[0])
@@ -223,11 +228,18 @@ def closed_form_terms(cfg: EngineConfig) -> tuple[float, float]:
 def printed_efficiency(tau_cold: float, tau_hot: float, r_t: np.ndarray) -> np.ndarray:
     """Verbatim 1 - f/g of the printed closed form at every r_t of an array.
 
-    Gives 1 where f = 0 (equal temperatures).  Not the ledger efficiency.
+    Gives 1 where f = 0 (equal temperatures).  g grows like e^{8 r_t} and
+    overflows first, from 8 r_t near 709; beyond that |f/g| < 4 e^{-6 r_t}
+    < 2^-54, so 1 - f/g rounds to 1, which is given there, also where
+    e^{4 r_t} itself overflows.  Not the ledger efficiency.
     """
     with _naming("eta_printed_fg", "r_t", r_t):
-        f, g = _printed_fg(tau_cold, tau_hot, r_t)
-        return 1.0 - np.divide(f, g, out=np.zeros_like(f), where=f != 0.0)
+        eta = np.ones(r_t.shape)
+        finite = np.flatnonzero(4.0 * r_t <= _EXP_ARG_MAX)
+        with np.errstate(over="ignore"):         # g = +-inf: 1 - f/g = 1
+            f, g = _printed_fg(tau_cold, tau_hot, r_t[finite])
+        eta[finite] = 1.0 - np.divide(f, g, out=np.zeros_like(f), where=f != 0.0)
+        return eta
 
 
 def generalized_efficiency_closed_form(cfg: EngineConfig) -> float:

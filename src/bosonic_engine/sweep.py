@@ -176,9 +176,13 @@ def parse_config(text: str) -> SweepSpec:
     return build_spec(load_config(text))
 
 
+def _spec_fields(spec: SweepSpec) -> dict:
+    return {name: getattr(spec, name) for name in _FIELD_NAMES}
+
+
 def serialize_spec(spec: SweepSpec) -> str:
     """JSON document that round-trips through parse_config."""
-    return json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True)
+    return json.dumps(_spec_fields(spec), indent=2, sort_keys=True)
 
 
 def _occupancy_column(taus) -> np.ndarray:
@@ -277,7 +281,7 @@ def run_sweep(spec: SweepSpec) -> str:
         written = time.monotonic()
         manifest = {
             "schema_version": SCHEMA_VERSION,
-            "spec": dataclasses.asdict(spec),
+            "spec": _spec_fields(spec),
             "tool_version": __version__,
             "units_note": UNITS_NOTE,
             "columns": list(COLUMNS[spec.mode]),
@@ -286,8 +290,7 @@ def run_sweep(spec: SweepSpec) -> str:
             "phase_seconds": {"compute": computed - started, "write": written - computed},
         }
         with open(tmp_manifest, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         os.replace(tmp_csv, path)
         os.replace(tmp_manifest, manifest_path)
     except BaseException:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -217,6 +219,19 @@ class TestRunSweep:
         assert manifest["tool_version"]
         assert manifest["schema_version"] == 2
         assert "quad_tol" not in manifest["spec"]
+
+    def test_manifest_text_is_json_dump_text(self, tmp_path):
+        # one json.dumps and one write give the text json.dump wrote, timings included
+        spec = build_spec({"mode": "relaxation", "t_final": 0.5, "dt_max": 0.01,
+                           "output_path": str(tmp_path / "r.csv")})
+        run_sweep(spec)
+        text = (tmp_path / "r.csv.manifest.json").read_text()
+        manifest = json.loads(text)
+        assert manifest["spec"] == dataclasses.asdict(spec)
+        dumped = io.StringIO()
+        json.dump({**manifest, "spec": dataclasses.asdict(spec)}, dumped, indent=2,
+                  sort_keys=True)
+        assert text == dumped.getvalue() + "\n"
 
     def test_deterministic_output(self, tmp_path):
         payloads = []
@@ -562,7 +577,7 @@ T_FINAL_VALUES = [0.0, 5e-324, 1e-3, 1.0, 20.0, 1e308]
 # generalized-sweep exit 0: temperatures in [1e-3, 1e3] and r_work, or
 # r_max, up to these squeezings.
 DOMAIN_TAU = (1e-3, 1e3)
-DOMAIN_R = {"cycle-trace": ("r-work", 300.0), "generalized-sweep": ("r-max", 80.0)}
+DOMAIN_R = {"cycle-trace": ("r-work", 300.0), "generalized-sweep": ("r-max", 300.0)}
 
 
 def in_documented_domain(mode: str, flags: dict) -> bool:
@@ -582,6 +597,7 @@ def in_documented_domain(mode: str, flags: dict) -> bool:
       for r in ("8", "100", "300")],
     ["cycle-trace", "--kind", "generalized", "--r-work", "300", "--tau-cold", "1e-3",
      "--tau-hot", "1e3"],
+    ["generalized-sweep", "--r-max", "300", "--tau-cold", "1e-3", "--tau-hot", "1e3"],
 ])
 def test_large_squeezing_closes_the_cycle(tmp_path, argv):
     # the closure tolerance scales with the strokes' energies, which grow
@@ -595,11 +611,27 @@ def test_large_squeezing_closes_the_cycle(tmp_path, argv):
             assert np.all(np.isfinite([float(row[i]) for row in rows])), name
 
 
-def test_printed_fg_overflow_past_the_domain_exits_three(tmp_path, capsys):
-    assert cli.main(["generalized-sweep", "--r-max", "100",
-                     "--output", str(tmp_path / "out.csv")]) == 3
-    assert capsys.readouterr().err.startswith("numeric failure: eta_printed_fg at r_t up to 100:")
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("r_max", ["100", "300"])
+def test_printed_fg_past_its_overflow_is_one(tmp_path, r_max):
+    # g grows like e^{8 r_t} and overflows near r_t = 88.7 (e^{4 r_t} near 177.4)
+    out = tmp_path / "out.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generalized-sweep", "--r-max", r_max, "--output", str(out)]) == 0
+    header, rows = read_csv(out)
+    cols = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    for name in header[:-1]:
+        assert np.all(np.isfinite(np.array(cols[name], dtype=float))), name
+    tau_cold, tau_hot = 1.0, 2.0
+    with mp.workdps(50):
+        x1, x2 = 1 / (2 * mp.mpf(tau_cold)), 1 / (2 * mp.mpf(tau_hot))
+        for r_t, eta in zip(cols["r_t"], cols["eta_printed_fg"]):
+            if float(r_t) < 20.0:
+                continue
+            e4 = mp.exp(4 * mp.mpf(r_t))
+            f = 4 * mp.exp(2 * mp.mpf(r_t)) * (mp.coth(x2) - mp.coth(x1))
+            g = (e4 * mp.tanh(x1) * mp.coth(x2) ** 2 - mp.coth(x1)) * (
+                e4 - 2 * mp.log(mp.tanh(x1) * mp.coth(x2)))
+            assert float(1 - f / g) == 1.0 and eta == "1", r_t
 
 
 class TestCliFuzz:
@@ -680,8 +712,8 @@ class TestCliFuzz:
 @pytest.mark.parametrize("argv, code", [
     # e^{4 (r_R - r_t)} overflows in the ledger: an OverflowError traceback before
     (["generalized-sweep", "--tau-cold", "0.001", "--tau-hot", "1e297"], 3),
-    # the printed 1 - f/g overflows e^{4 r_t} where the ledger does not
-    (["generalized-sweep", "--tau-cold", "5e-324", "--tau-hot", "5e-324", "--r-max", "200"], 3),
+    # the printed 1 - f/g overflows e^{4 r_t} where the ledger does not; it is 1 there
+    (["generalized-sweep", "--tau-cold", "5e-324", "--tau-hot", "5e-324", "--r-max", "200"], 0),
     # 2 r_bath overflows to inf: NaN moments and a RuntimeWarning before
     (["relaxation", "--r-work", "1e308", "--t-final", "1"], 3),
     # -2r overflows where e^{-2r} is 0: C = -1/2, and a RuntimeWarning before

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonic_engine import cli
-from bosonic_engine.csvformat import CSV_BLOCK_ROWS, json_items, write_csv
+from bosonic_engine.csvformat import (CSV_BLOCK_ROWS, _csv_digits, _decimal_digits,
+                                      _digit_groups, _round_off, json_items, write_csv)
 from bosonic_engine.states import bose_einstein
 
 
@@ -113,6 +115,94 @@ class TestTemplateEquality:
                 values = data.draw(st.lists(texts, min_size=rows, max_size=rows))
                 columns.append(np.array(values, dtype=str))
         assert_same_text(columns)
+
+
+def d17_route(x):
+    """D15, ei and fast rounded from D17 and its residual, as the JSON digits are."""
+    d17, residual, ei, fast = _decimal_digits(x)
+    d15 = _round_off(d17, residual, 100)[0]
+    carry = d15 == 10**15
+    ei += carry
+    return np.where(carry, 10**14, d15), ei, fast & (ei <= 19)
+
+
+def assert_same_digits(x):
+    d, ei, fast = _csv_digits(x)
+    want_d, want_ei, want_fast = d17_route(x)
+    np.testing.assert_array_equal(fast, want_fast)
+    np.testing.assert_array_equal(d, want_d)
+    np.testing.assert_array_equal(ei, want_ei)
+
+
+def half_way_branches(x, e):
+    """Where p = fl(|x| 10^(14 - e)) is half-way between two integers, the sign of
+    the exact error |x| 10^(14 - e) - p (-1, 0 or 1); None elsewhere."""
+    signs = []
+    for v in x.tolist():
+        y = abs(Fraction(v)) * Fraction(10) ** (14 - e)
+        p = Fraction(float(y))
+        signs.append((y > p) - (y < p) if p - math.floor(p) == Fraction(1, 2) else None)
+    return signs
+
+
+def loop_trailing_zeros(d, groups):
+    """Trailing zero digits of each D, one 3-digit group at a time (3 per group for 0)."""
+    group_zeros = np.array([3 if g == 0 else 2 if g % 100 == 0 else 1 if g % 10 == 0 else 0
+                            for g in range(1000)])
+    zeros = np.zeros_like(d)
+    trailing = np.ones(d.size, bool)
+    for _ in range(groups):
+        group = d % 1000
+        zeros += trailing * group_zeros[group]
+        trailing &= group == 0
+        d = d // 1000
+    return zeros
+
+
+class TestDigitRoute:
+    """D15 from the rounded product against D15 rounded from D17, and the
+    trailing-zero state table against a loop over the digit groups."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(23).integers(0, 2**64, 20000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        finite = np.abs(np.where(np.isfinite(values), values, 1.0))
+        assert_same_digits(np.concatenate([values, finite % 1e15, finite % 1e-3, -finite % 10]))
+
+    @pytest.mark.parametrize("e", range(-5, 15))
+    def test_every_exponent_and_half_way_branch(self, e):
+        rng = np.random.default_rng(e + 200)
+        s = 14 - e
+        # m 2^(-1-s), m odd, times 10^s is the half-integer m 5^s / 2: no error
+        odd = 2 * rng.integers(10**14 // 5**s, 10**15 // 5**s, 300) + 1
+        exact = odd * 2.0 ** (-1 - s)
+        # the doubles nearest to (D + 1/2) 10^-s err to either side
+        near = neighbours((rng.integers(10**14, 10**15, 600) + 0.5) / 10.0**s)
+        plain = rng.uniform(1.0, 10.0, 600) * 10.0**e
+        x = np.concatenate([exact, near, plain])
+        assert_same_digits(x)
+
+        magnitude = np.abs(x)
+        in_decade = (magnitude >= 10.0**e) & (magnitude < 10.0 ** (e + 1))
+        # e = -5 prints in exponent notation, so Python formats it
+        assert np.array_equal(_csv_digits(x)[2][in_decade], np.full(in_decade.sum(), e >= -4))
+        branches = set(half_way_branches(x[in_decade], e))
+        assert branches >= ({0} if e == 14 else {-1, 0, 1})       # 10^0 scales exactly
+        assert_same_text([x])
+
+    @pytest.mark.parametrize("groups", [5, 6])
+    def test_trailing_zero_states(self, groups):
+        rng = np.random.default_rng(groups)
+        top = 10 ** (3 * groups)
+        digits = rng.integers(1, top, 2000)
+        d = np.concatenate([
+            [0, 1, top - 1],
+            10 ** np.arange(3 * groups),                             # powers of ten
+            *[digits - digits % 1000**j for j in range(groups)],     # zero low groups
+            digits - digits % 10 ** rng.integers(0, 3 * groups, digits.size),
+        ])
+        zeros = _digit_groups(d, np.full(d.size, 5), groups)[1]
+        np.testing.assert_array_equal(zeros, loop_trailing_zeros(d, groups))
 
 
 def assert_same_json(values):

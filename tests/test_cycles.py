@@ -252,9 +252,14 @@ class TestClosedForm:
         eta_ledger = run_generalized(cfg).efficiency
         assert abs(eta_printed - eta_ledger) > 0.1
 
+    def test_one_where_f_or_g_overflows(self):
+        # g ~ e^{8 r_t} overflows near r_t = 88.7, e^{4 r_t} near 177.4, e^{2 r_t} near 354.9
+        for r in (89.0, 100.0, 177.0, 178.0, 300.0, 400.0):
+            assert generalized_efficiency_closed_form(gen_cfg(r)) == 1.0
+        with pytest.raises(FloatingPointError):
+            closed_form_terms(gen_cfg(100.0))
+
     def test_overflow_names_the_quantity_and_r(self):
-        with pytest.raises(FloatingPointError, match="^eta_printed_fg at r_t up to 100: "):
-            generalized_efficiency_closed_form(gen_cfg(100.0))
         with pytest.raises(FloatingPointError, match="^Otto cycle ledger at r up to 400: "):
             run_otto(otto_cfg(400.0))
         with pytest.raises(FloatingPointError,
