@@ -1,7 +1,7 @@
 """Number text in one numpy pass per block: CSV in '%.15g', JSON in repr.
 
 :func:`write_csv` writes the text of a row template with '%.15g' for
-number columns and '%s' for string columns, and :func:`json_items` the
+number columns and '%s' for text columns, and :func:`json_items` the
 text that json.dumps writes for the items of float arrays, whose numbers
 are float.__repr__: the fewest digits that read back to the same double,
 the closest such digits when there is a choice.  Both are byte for byte,
@@ -31,20 +31,24 @@ but format all cells of a block at once:
   text never contains, and one bytes.translate deletes them from the block.
 * Python formats the other numbers ('%.15g': one '%-27.15g' template;
   JSON: json.dumps of the one float, so NaN and Infinity match); their
-  texts and the strings fill their cells behind the separator.  CSV cells
-  grow past seven words when a string needs it.
+  texts fill their cells behind the separator.
+* A CSV text column is :class:`Labels`, a code per row into its names.
+  Its cells are one take from a table of the separator, each name's UTF-8
+  bytes and 0xFF padding, as wide as the longest name needs; only the
+  number columns go through the digits.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import json
 import math
 
 import numpy as np
 
-__all__ = ["CSV_BLOCK_ROWS", "json_items", "write_csv"]
+__all__ = ["CSV_BLOCK_ROWS", "Labels", "json_items", "write_csv"]
 
 # Rows formatted per write.  Formatting a long CSV in one piece holds all
 # of its text in memory at once and raises the peak memory of a run.
@@ -76,7 +80,6 @@ _NEAR = 2.0 ** -40       # relative margin of the read-back test
 _CSV_GROUPS = 5
 _JSON_GROUPS = 6
 _CSV_WORDS = 2 + _CSV_GROUPS
-_DROP = 0xFF
 _CONSTANT_WORDS = np.frombuffer(b",-0.000\xff", np.uint32)     # separator, '-0.', '000'
 _SPACE_TO_DROP = bytes.maketrans(b" ", b"\xff")
 
@@ -123,12 +126,13 @@ def _row_base(groups: int) -> np.ndarray:
 
 
 @functools.cache
-def _drop_masks(words: int, groups: int) -> np.ndarray:
-    """Drop-mask rows of a cell of ``words`` words: 0xFF where a byte is dropped.
+def _drop_masks(groups: int) -> np.ndarray:
+    """Drop-mask rows of a cell of 2 + groups words: 0xFF where a byte is dropped.
 
     The separator ',' and the bytes of '-0.' and '000' are set where kept.
     """
     json_style = groups == _JSON_GROUPS             # repr: a digit always follows the point
+    words = 2 + groups
     rows = bytearray()
     for e in range(-4, 15):
         for nsig in range(1, 3 * groups + 1):
@@ -155,29 +159,34 @@ def _drop_masks(words: int, groups: int) -> np.ndarray:
     return masks
 
 
-def _text_bytes(col: np.ndarray) -> np.ndarray:
-    """The UTF-8 bytes of a string column, as a fixed-width bytes array.
+@dataclasses.dataclass(frozen=True, eq=False)
+class Labels:
+    """A text column as codes: the text of row i is names[codes[i]]."""
 
-    An ASCII column is its code points, one byte each.
-    """
-    codes = np.ascontiguousarray(col, col.dtype.newbyteorder("=")).view(np.uint32)
-    if codes.max(initial=0) < 0x80:
-        return codes.astype(np.uint8).view(f"S{col.dtype.itemsize // 4}")
-    return np.array([text.encode() for text in col.tolist()], "S")
+    codes: np.ndarray
+    names: tuple[str, ...]
+
+    @classmethod
+    def of(cls, texts: np.ndarray) -> Labels:
+        """The Labels of a numpy string array, one name per distinct text."""
+        names, codes = np.unique(texts, return_inverse=True)
+        return cls(codes.reshape(-1), tuple(names.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> Labels:
+        return Labels(self.codes[rows], self.names)
 
 
-def _place(cell_bytes: np.ndarray, where, texts: np.ndarray) -> None:
-    """Put texts behind the separator of cell_bytes[where]; drop the bytes after them.
-
-    A text ends at its last nonzero byte: numpy strips trailing NULs.
-    """
-    width = texts.dtype.itemsize
-    text_bytes = texts.view(np.uint8).reshape(-1, width)
-    field = np.full((len(text_bytes), cell_bytes.shape[1] - 1), _DROP, np.uint8)
-    field[:, :width] = text_bytes
-    after_text = np.logical_or.accumulate(text_bytes[:, ::-1], axis=1)[:, ::-1]
-    np.putmask(field[:, :width], ~after_text, _DROP)
-    cell_bytes[where, 1:] = field
+@functools.lru_cache(maxsize=32)
+def _label_cells(names: tuple[str, ...]) -> np.ndarray:
+    """The cell of each name, as wide as the longest needs: the separator,
+    the UTF-8 bytes of the name, then 0xFF."""
+    texts = [b"," + name.encode() for name in names]
+    width = max([(len(text) + 3) // 4 for text in texts], default=1)
+    cells = b"".join(text.ljust(4 * width, b"\xff") for text in texts)
+    return np.frombuffer(cells, np.uint32).reshape(len(names), width)
 
 
 def _fill(cell_bytes: np.ndarray, where: np.ndarray, padded: str) -> None:
@@ -193,9 +202,9 @@ def _scaled(x: np.ndarray, digits: int):
     fast = a >= 1e-4
     fast &= a < 1e15
     np.copyto(a, 1.0, where=~fast)
-    ei = np.take(_BINADE_EI, a.view(np.int64) >> 52)
-    ei += a >= np.take(_POW10_NEXT, ei)
-    return a, a * np.take(_SCALE[17 - digits:], ei), ei, fast
+    ei = _BINADE_EI.take(a.view(np.int64) >> 52)
+    ei += a >= _POW10_NEXT.take(ei)
+    return a, a * _SCALE[17 - digits:].take(ei), ei, fast
 
 
 def _product_error(a: np.ndarray, p: np.ndarray, ei: np.ndarray, digits: int) -> np.ndarray:
@@ -207,12 +216,12 @@ def _product_error(a: np.ndarray, p: np.ndarray, ei: np.ndarray, digits: int) ->
     a_hi = a * _SPLIT
     a_hi -= a_hi - a
     a -= a_hi                                    # the low half
-    scale = np.take(_SCALE_HI[17 - digits:], ei)
+    scale = _SCALE_HI[17 - digits:].take(ei)
     err = a_hi * scale
     err -= p
     scale *= a
     err += scale
-    np.take(_SCALE_LO[17 - digits:], ei, out=scale)
+    _SCALE_LO[17 - digits:].take(ei, out=scale)
     a_hi *= scale
     err += a_hi
     scale *= a
@@ -294,20 +303,20 @@ def _digit_groups(d: np.ndarray, ei: np.ndarray, groups: int):
         index = group * 64
         index += state
         # every index is in range; 'raise' would copy through a buffer
-        np.take(_ZERO_STATE, index, out=state, mode="clip")
-        np.take(_DOT_OFFSET[k], ei, out=index, mode="clip")
+        _ZERO_STATE.take(index, out=state, mode="clip")
+        _DOT_OFFSET[k].take(ei, out=index, mode="clip")
         group += index
-        np.take(_group_words(), group, out=words[k], mode="clip")
+        _group_words().take(group, out=words[k], mode="clip")
         d = high
     state &= _TRAILING - 1                       # 3 per group for D = 0
     return words, state
 
 
 def _number_cells(x: np.ndarray, d: np.ndarray, ei: np.ndarray, fast: np.ndarray,
-                  words: int, groups: int) -> np.ndarray:
+                  groups: int) -> np.ndarray:
     """Cells of the numbers x whose digits d have the given groups; zeros join fast."""
     group_words, zeros = _digit_groups(d, ei, groups)
-    row = np.take(_row_base(groups), ei)
+    row = _row_base(groups).take(ei)
     row -= zeros
     negative = np.signbit(x)
     row += negative * (3 * groups * _N_FIXED)
@@ -317,48 +326,49 @@ def _number_cells(x: np.ndarray, d: np.ndarray, ei: np.ndarray, fast: np.ndarray
     del zeros, negative
 
     # the drop mask of each cell with its separator, '-0.' and '000', then its digits
-    cells = np.take(_drop_masks(words, groups), row, axis=0)
+    cells = _drop_masks(groups).take(row, axis=0)
     del row
     for k, group_words_k in enumerate(group_words):
         cells[:, 2 + k] |= group_words_k
     return cells
 
 
-def _format_block(columns: list[np.ndarray]) -> bytes:
+def _format_block(columns: list[np.ndarray | Labels]) -> bytes:
     """UTF-8 text of a block of rows, each row starting with '\\n'."""
-    rows, ncols = len(columns[0]), len(columns)
-    texts = [_text_bytes(col) if col.dtype.kind == "U" else None for col in columns]
-    words = max([_CSV_WORDS] + [(t.dtype.itemsize + 4) // 4 for t in texts if t is not None])
-    x = np.empty((rows, ncols))
-    for j, (col, text) in enumerate(zip(columns, texts)):
-        x[:, j] = 1.0 if text is not None else col
+    rows = len(columns[0])
+    numbers = [col for col in columns if not isinstance(col, Labels)]
+    x = np.empty((rows, len(numbers)))
+    for k, col in enumerate(numbers):
+        x[:, k] = col
     x = x.ravel()
 
     d, ei, fast = _csv_digits(x)
-    cells = _number_cells(x, d, ei, fast, words, _CSV_GROUPS)
+    cells = _number_cells(x, d, ei, fast, _CSV_GROUPS)
     del d, ei
-    cell_bytes = cells.view(np.uint8)
-    cell_bytes[::ncols, 0] = ord("\n")
-
     slow = np.flatnonzero(~fast)
-    if slow.size:  # '%-W.15g' pads the text of '%.15g' with spaces to the field width W
-        template = "%%-%d.15g" % (cell_bytes.shape[1] - 1)
-        _fill(cell_bytes, slow, template * slow.size % tuple(x[slow].tolist()))
-    for j, text in enumerate(texts):
-        if text is not None:
-            _place(cell_bytes, slice(j, None, ncols), text)
+    if slow.size:  # '%-27.15g' pads the text of '%.15g' with spaces to the 27 bytes of a cell
+        _fill(cells.view(np.uint8), slow, "%-27.15g" * slow.size % tuple(x[slow].tolist()))
+    del x
+    if len(numbers) < len(columns):              # the cells of each column in turn
+        number_cells = iter(cells.reshape(rows, -1, _CSV_WORDS).swapaxes(0, 1))
+        cells = np.hstack([_label_cells(col.names).take(col.codes, axis=0)
+                           if isinstance(col, Labels) else next(number_cells) for col in columns])
+    cells.view(np.uint8).reshape(rows, -1)[:, 0] = ord("\n")
     raw = cells.tobytes()
-    del x, cells, cell_bytes                     # not held beside the text
+    del cells                                    # not held beside the text
     return raw.translate(None, b"\xff")
 
 
-def write_csv(fh, header: tuple[str, ...], columns: list[np.ndarray]) -> None:
+def write_csv(fh, header: tuple[str, ...], columns: list[np.ndarray | Labels]) -> None:
     """Write a header and one '\\n'-terminated line per row to the text file fh.
 
-    Numbers are written as '%.15g' (the text of format(x, '.15g')), strings
-    as they are; CSV_BLOCK_ROWS rows are formatted at a time.
+    Numbers are written as '%.15g' (the text of format(x, '.15g')), text
+    (:class:`Labels` or a string array) as it is; CSV_BLOCK_ROWS rows are
+    formatted at a time.
     """
     fh.write(",".join(header))
+    columns = [Labels.of(col) if isinstance(col, np.ndarray) and col.dtype.kind == "U" else col
+               for col in columns]
     rows = len(columns[0]) if columns else 0
     for start in range(0, rows, CSV_BLOCK_ROWS):
         fh.write(_format_block([col[start:start + CSV_BLOCK_ROWS] for col in columns]).decode())
@@ -398,7 +408,7 @@ def json_items(arrays: list[np.ndarray], sep: str = ", ") -> list[str]:
     sizes = [len(a) for a in arrays]
     x = np.concatenate(arrays, dtype=np.float64)
     d, ei, fast = _shortest_digits(x)
-    cells = _number_cells(x, d, ei, fast, 2 + _JSON_GROUPS, _JSON_GROUPS)
+    cells = _number_cells(x, d, ei, fast, _JSON_GROUPS)
     del d, ei
     cell_bytes = cells.view(np.uint8)
     starts = np.cumsum(sizes) - sizes

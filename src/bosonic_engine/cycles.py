@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import SCHEMA_VERSION
-from .csvformat import json_items
+from .csvformat import Labels, json_items
 from .errors import CycleConsistencyError
 from .states import (
     BOUNDARY_TOL,
@@ -67,6 +67,8 @@ __all__ = [
 FIRST_LAW_TOL = 1e-9
 TRACE_POINTS_PER_STROKE = 256
 STROKES = ("squeeze", "hot-contact", "unsqueeze", "cold-contact")
+# The labels of classify_region; classify_regions gives codes into it.
+REGIONS = ("i", "ii", "iii", "boundary")
 
 # The largest x whose e^x is finite.
 _EXP_ARG_MAX = math.log(sys.float_info.max)
@@ -269,16 +271,18 @@ def classify_region(cfg: EngineConfig) -> str:
     return "iii"
 
 
-def classify_regions(tau_cold: float, tau_hot: float, r: np.ndarray) -> np.ndarray:
-    """:func:`classify_region` at every squeezing of an array, in one pass.
+def classify_regions(tau_cold: float, tau_hot: float, r: np.ndarray) -> Labels:
+    """:func:`classify_region` at every squeezing of an array, as codes into REGIONS.
 
-    The reports keep the scalar form: on one point it costs a
-    microsecond, where this one costs tens.
+    Array comparisons only; a NaN r is 'iii', as no comparison holds for it.
     """
     rc_cold = critical_squeezing(tau_cold)
     rc_hot = critical_squeezing(tau_hot)
     on_boundary = (np.abs(r - rc_cold) <= BOUNDARY_TOL) | (np.abs(r - rc_hot) <= BOUNDARY_TOL)
-    return np.select([on_boundary, r < rc_cold, r < rc_hot], ["boundary", "i", "ii"], "iii")
+    # r < rc_cold is 'i' whatever rc_hot is
+    codes = 2 - (r < rc_cold).view(np.uint8) - (r < max(rc_cold, rc_hot)).view(np.uint8)
+    codes[on_boundary] = REGIONS.index("boundary")
+    return Labels(codes, REGIONS)
 
 
 @_RAISE
@@ -376,6 +380,10 @@ def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
 _TRACE_U = np.linspace(0.0, 1.0, TRACE_POINTS_PER_STROKE)
 _TRACE_U.flags.writeable = False  # shared by every trace
 _TRACE_STROKES = tuple(label for label in STROKES for _ in _TRACE_U)
+# The same strokes as a CSV label column.
+TRACE_STROKE_LABELS = Labels(np.repeat(np.arange(len(STROKES), dtype=np.uint8), _TRACE_U.size),
+                             STROKES)
+TRACE_STROKE_LABELS.codes.flags.writeable = False
 
 
 def _report(cfg: EngineConfig, ledger: Ledger,

@@ -5,8 +5,8 @@ Every sweep writes one CSV data file plus a JSON manifest
 spec, the column schema, the tool version, the natural-units convention,
 the row count, and the wall-clock duration with its compute and CSV-write
 phases.  CSV output is deterministic: every number is the text of
-format(x, '.15g'), with a '.' decimal separator, a header row, and every
-line ending in '\\n' (LF) in every mode.
+format(x, '.15g') with a '.' decimal separator, every label is written
+as it is, with a header row, and every line ending in '\\n' (LF) in every mode.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import SCHEMA_VERSION, __version__
 from .cycles import (
+    TRACE_STROKE_LABELS,
     CycleKind,
     EngineConfig,
     carnot_efficiency,
@@ -33,7 +34,7 @@ from .cycles import (
     run_generalized,
     run_otto,
 )
-from .csvformat import write_csv
+from .csvformat import Labels, write_csv
 from .dynamics import (TRAJECTORY_COLUMNS, BathSpec, MomentState, evolve, rk4_steps,
                        trajectory_columns)
 from .states import bose_einstein, classicality_grid
@@ -199,12 +200,12 @@ def _classicality_curve(spec: SweepSpec) -> list[np.ndarray]:
     return [grid, *classicality_grid(_occupancy_column(taus), grid)]
 
 
-def _otto_sweep(spec: SweepSpec) -> list[np.ndarray]:
+def _otto_sweep(spec: SweepSpec) -> list[np.ndarray | Labels]:
     grid = _grid(spec)
     return [grid, otto_efficiency(grid), classify_regions(spec.tau_cold, spec.tau_hot, grid)]
 
 
-def _generalized_sweep(spec: SweepSpec) -> list[np.ndarray]:
+def _generalized_sweep(spec: SweepSpec) -> list[np.ndarray | Labels]:
     tc, th, grid = spec.tau_cold, spec.tau_hot, _grid(spec)
     ledger = generalized_ledger(tc, th, grid)
     carnot = carnot_efficiency(EngineConfig(tc, th, 0.0))
@@ -212,11 +213,11 @@ def _generalized_sweep(spec: SweepSpec) -> list[np.ndarray]:
             otto_efficiency(grid), np.full_like(grid, carnot), classify_regions(tc, th, grid)]
 
 
-def _cycle_trace(spec: SweepSpec) -> list[np.ndarray]:
+def _cycle_trace(spec: SweepSpec) -> list[np.ndarray | Labels]:
     kind = CycleKind(spec.kind)
     run = run_otto if kind is CycleKind.OTTO else run_generalized
     trace = run(EngineConfig(spec.tau_cold, spec.tau_hot, spec.r_work, kind)).classicality_trace
-    return [np.array(trace.stroke), trace.r, trace.n, trace.c]
+    return [TRACE_STROKE_LABELS, trace.r, trace.n, trace.c]
 
 
 def _dt_max(dt_max: float | None, gamma: float) -> float:
@@ -231,14 +232,14 @@ def _relaxation(spec: SweepSpec) -> list[np.ndarray]:
     return trajectory_columns(evolve(s0, bath, t_final=spec.t_final, dt_max=dt_max))
 
 
-def _phase_diagram(spec: SweepSpec) -> list[np.ndarray]:
+def _phase_diagram(spec: SweepSpec) -> list[np.ndarray | Labels]:
     tc, th, grid = spec.tau_cold, spec.tau_hot, _grid(spec)
     c_cold, c_hot = classicality_grid(_occupancy_column((tc, th)), grid)
     return [grid, classify_regions(tc, th, grid), c_cold, c_hot]
 
 
 # Each mode's CSV columns, and the function that computes them from the
-# spec as one array per column.
+# spec as one float array or Labels per column.
 _MODE_TABLE = {
     "classicality-curve": (("r", "C_tau1", "C_tau2", "C_tau3"), _classicality_curve),
     "otto-sweep": (("r", "eta_otto", "region"), _otto_sweep),
@@ -256,8 +257,8 @@ MODES = tuple(_MODE_TABLE)
 COLUMNS = {mode: columns for mode, (columns, _) in _MODE_TABLE.items()}
 
 
-def _columns(spec: SweepSpec) -> list[np.ndarray]:
-    """The CSV columns of the spec's mode, as arrays."""
+def _columns(spec: SweepSpec) -> list[np.ndarray | Labels]:
+    """The CSV columns of the spec's mode, as float arrays and Labels."""
     return _MODE_TABLE[spec.mode][1](spec)
 
 

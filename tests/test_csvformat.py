@@ -14,15 +14,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonic_engine import cli
-from bosonic_engine.csvformat import (CSV_BLOCK_ROWS, _csv_digits, _decimal_digits,
+from bosonic_engine.csvformat import (CSV_BLOCK_ROWS, Labels, _csv_digits, _decimal_digits,
                                       _digit_groups, _round_off, json_items, write_csv)
 from bosonic_engine.states import bose_einstein
 
 
 def template_csv(header, columns) -> str:
-    """Oracle: one '%.15g' / '%s' row template per row, the writer's former form."""
-    row = ",".join("%s" if col.dtype.kind == "U" else "%.15g" for col in columns) + "\n"
-    rows = zip(*(col.tolist() for col in columns))
+    """Oracle: one '%.15g' / '%s' row template per row, the writer's former form.
+
+    A Labels column is the list of the name of each code."""
+    columns = [[col.names[k] for k in col.codes.tolist()] if isinstance(col, Labels) else col
+               for col in columns]
+    row = ",".join("%s" if isinstance(col, list) or col.dtype.kind == "U" else "%.15g"
+                   for col in columns) + "\n"
+    rows = zip(*(col if isinstance(col, list) else col.tolist() for col in columns))
     return ",".join(header) + "\n" + "".join(map(row.__mod__, rows))
 
 
@@ -114,6 +119,28 @@ class TestTemplateEquality:
                 texts = st.text(max_size=12) | st.sampled_from(["", "\x00", "a\x00b", "\x00\x00c"])
                 values = data.draw(st.lists(texts, min_size=rows, max_size=rows))
                 columns.append(np.array(values, dtype=str))
+        assert_same_text(columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_label_columns(self, data):
+        rows = data.draw(st.integers(0, 40))
+        # Python formats these numbers; a label wider than 27 bytes widens every cell
+        floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300,
+                                                1e-300, -1e-300])
+        names = st.sampled_from(["", "a\x00b", "é,ü", "a,b", "x\ny", "日本語", "w" * 28]) \
+            | st.text(max_size=40)
+        columns = []
+        for label in data.draw(st.permutations([True, *data.draw(st.lists(st.booleans(),
+                                                                          max_size=3))])):
+            if label:
+                column_names = tuple(data.draw(st.lists(names, min_size=1, max_size=6)))
+                codes = data.draw(st.lists(st.integers(0, len(column_names) - 1),
+                                           min_size=rows, max_size=rows))
+                columns.append(Labels(np.array(codes, np.uint8), column_names))
+            else:
+                values = data.draw(st.lists(floats, min_size=rows, max_size=rows))
+                columns.append(np.array(values, dtype=float))
         assert_same_text(columns)
 
 

@@ -11,6 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bosonic_engine import (
     CycleKind,
@@ -26,8 +27,9 @@ from bosonic_engine import (
     run_generalized,
     work_heat_along,
 )
-from bosonic_engine.cycles import classify_regions, generalized_ledger
-from bosonic_engine.sweep import COLUMNS, _columns, build_spec
+from bosonic_engine.csvformat import Labels
+from bosonic_engine.cycles import REGIONS, classify_regions, generalized_ledger
+from bosonic_engine.sweep import COLUMNS, MODES, _columns, build_spec
 
 mp.mp.dps = 50
 HALF = mp.mpf(1) / 2
@@ -55,6 +57,13 @@ def iso_classicality_path(tc, th, r_t):
         dr_ds=lambda s: delta,
         dn_ds=lambda s: 2.0 * a * delta * math.exp(2.0 * s * delta),
     )
+
+
+def texts(column) -> list:
+    """The values of a sweep column: its floats, or the text of each label."""
+    if isinstance(column, Labels):
+        return [column.names[k] for k in column.codes.tolist()]
+    return column.tolist()
 
 
 def occupancy(tau):
@@ -133,9 +142,37 @@ def test_regions_match_scalar_labels_around_the_boundary_band():
                   for k in range(-15, 16)])
     edges = r[[0, 4, 5, 25, 26]]  # just outside and on both band edges
     r = np.concatenate([r, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, 3.0]])
-    labels = classify_regions(tc, th, r).tolist()
+    labels = texts(classify_regions(tc, th, r))
     assert labels == [classify_region(EngineConfig(tc, th, float(x))) for x in r]
     assert {"boundary", "i", "ii", "iii"} <= set(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+       st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8))
+def test_region_codes_match_the_select_form(tc, th, r):
+    """The codes against np.select over the labels, for any temperature order and any r."""
+    r = np.array(r + [critical_squeezing(tc), critical_squeezing(th)], dtype=float)
+    rc_cold, rc_hot = critical_squeezing(tc), critical_squeezing(th)
+    on_boundary = (np.abs(r - rc_cold) <= 1e-12) | (np.abs(r - rc_hot) <= 1e-12)
+    labels = classify_regions(tc, th, r)
+    want = np.select([on_boundary, r < rc_cold, r < rc_hot], ["boundary", "i", "ii"], "iii")
+    assert labels.names == REGIONS and labels.codes.dtype == np.uint8
+    assert texts(labels) == want.tolist()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_columns_are_floats_and_labels(mode):
+    spec = build_spec({"mode": mode, "points": 11, "t_final": 0.5, "output_path": "unused.csv"})
+    columns = _columns(spec)
+    assert len(columns) == len(COLUMNS[mode])
+    for column in columns:
+        assert len(column) == len(columns[0])
+        if isinstance(column, Labels):
+            assert column.codes.dtype.kind == "u" and column.codes.max() < len(column.names)
+            assert all(isinstance(name, str) for name in column.names)
+        else:
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64
 
 
 @pytest.mark.parametrize("r", [1e-9, 1e-5, 1e-3, 0.5, 3.0, 400.0])
@@ -147,7 +184,7 @@ def test_otto_efficiency_against_mpmath(r):
 @pytest.mark.parametrize("values", GRID_SPECS, ids=lambda v: "-".join(map(str, v.values())))
 def test_grid_columns_against_mpmath(values):
     spec = build_spec(dict(values, output_path="unused.csv"))
-    cols = dict(zip(COLUMNS[spec.mode], (c.tolist() for c in _columns(spec))))
+    cols = dict(zip(COLUMNS[spec.mode], map(texts, _columns(spec))))
     grid = np.linspace(spec.r_min, spec.r_max, spec.points).tolist()
     tc, th = spec.tau_cold, spec.tau_hot
     taus = {"C_tau1": tc, "C_tau2": th, "C_tau3": spec.tau_third,
