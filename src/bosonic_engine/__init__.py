@@ -15,7 +15,6 @@ from .states import (
     BOUNDARY_TOL,
     CovarianceMatrix,
     SqueezedThermalState,
-    Temperature,
     bose_einstein,
     classicality,
     covariance_of,

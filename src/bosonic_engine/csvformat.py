@@ -48,8 +48,6 @@ import math
 
 import numpy as np
 
-__all__ = ["CSV_BLOCK_ROWS", "Labels", "json_items", "write_csv"]
-
 # Rows formatted per write.  Formatting a long CSV in one piece holds all
 # of its text in memory at once and raises the peak memory of a run.
 CSV_BLOCK_ROWS = 1024

@@ -37,32 +37,11 @@ from .errors import CycleConsistencyError
 from .states import (
     BOUNDARY_TOL,
     SqueezedThermalState,
-    Temperature,
     bose_einstein,
+    check_temperature,
     critical_squeezing,
     libm_exp,
 )
-
-__all__ = [
-    "CycleKind",
-    "EngineConfig",
-    "StrokeRecord",
-    "ClassicalityTrace",
-    "CycleReport",
-    "Ledger",
-    "run_otto",
-    "run_generalized",
-    "generalized_ledger",
-    "otto_efficiency",
-    "generalized_r_hot",
-    "generalized_efficiency_closed_form",
-    "printed_efficiency",
-    "closed_form_terms",
-    "carnot_efficiency",
-    "classify_region",
-    "classify_regions",
-    "report_to_json",
-]
 
 FIRST_LAW_TOL = 1e-9
 TRACE_POINTS_PER_STROKE = 256
@@ -74,7 +53,9 @@ REGIONS = ("i", "ii", "iii", "boundary")
 _EXP_ARG_MAX = math.log(sys.float_info.max)
 
 # Overflow, 0/0 and division by zero raise FloatingPointError instead of
-# leaving inf or NaN behind a RuntimeWarning.
+# leaving inf or NaN behind a RuntimeWarning.  It decorates entry points
+# only, none of which calls another: numpy 1.x keeps the replaced state on
+# the instance, so a nested entry would leave "raise" set after the call.
 _RAISE = np.errstate(over="raise", invalid="raise", divide="raise")
 
 
@@ -108,8 +89,8 @@ class EngineConfig:
     kind: CycleKind = CycleKind.OTTO
 
     def __post_init__(self):
-        Temperature(self.tau_cold)
-        Temperature(self.tau_hot)
+        check_temperature(self.tau_cold)
+        check_temperature(self.tau_hot)
         if self.tau_hot < self.tau_cold:
             raise ValueError(
                 f"tau_hot ({self.tau_hot}) must be >= tau_cold ({self.tau_cold})"
@@ -285,7 +266,6 @@ def classify_regions(tau_cold: float, tau_hot: float, r: np.ndarray) -> Labels:
     return Labels(codes, REGIONS)
 
 
-@_RAISE
 def _book(n: np.ndarray, r: np.ndarray, work_on: np.ndarray,
           heat_in: np.ndarray) -> Ledger:
     """Check a four-stroke ledger and total it.
@@ -320,13 +300,13 @@ def _book(n: np.ndarray, r: np.ndarray, work_on: np.ndarray,
                   q_hot_in=q_hot, q_cold_out=-heat_in[3], efficiency=efficiency)
 
 
-@_RAISE
 def _four_strokes(n_cold: float, n_hot: float, r_t: np.ndarray, r_r: np.ndarray,
                   hot_work: np.ndarray, hot_heat: np.ndarray) -> Ledger:
     """Checked ledger of the four strokes at every working point.
 
     Squeeze 0 -> r_t at n_cold, hot contact to (r_R, n_hot) with the given
     work and heat, unsqueeze r_R -> 0 at n_hot, cold contact to n_cold.
+    Runs, with :func:`_book`, under its caller's ``_RAISE``.
     """
     zero = np.zeros_like(r_t)
     n = np.array([n_cold, n_cold, n_hot, n_hot, n_cold])[:, None] + zero

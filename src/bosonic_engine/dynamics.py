@@ -25,17 +25,8 @@ import numpy as np
 
 from .csvformat import write_csv
 from .errors import PhysicalityError
-from .states import (SqueezedThermalState, Temperature, bose_einstein, classicality,
+from .states import (SqueezedThermalState, bose_einstein, check_temperature, classicality,
                      covariance_of, is_physical_nm)
-
-__all__ = [
-    "BathSpec",
-    "MomentState",
-    "MomentTrajectory",
-    "evolve",
-    "steady_state",
-    "write_trajectory_csv",
-]
 
 PHYSICALITY_SLACK = 1e-9
 
@@ -54,7 +45,7 @@ class BathSpec:
     gamma: float
 
     def __post_init__(self):
-        Temperature(self.tau)  # validates tau > 0
+        check_temperature(self.tau)
         if not (self.r_bath >= 0.0):
             raise ValueError(f"bath squeezing must be >= 0, got {self.r_bath}")
         if not (self.gamma > 0.0):
@@ -68,8 +59,8 @@ class MomentState:
     n: float
     m: float
 
-    def is_physical(self, slack: float = PHYSICALITY_SLACK) -> bool:
-        return bool(is_physical_nm(self.n, self.m, slack))
+    def is_physical(self) -> bool:
+        return bool(is_physical_nm(self.n, self.m, PHYSICALITY_SLACK))
 
 
 @dataclass(frozen=True)

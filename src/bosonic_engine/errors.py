@@ -4,10 +4,6 @@
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class PhysicalityError(RuntimeError):
     """A trajectory point violated the symplectic uncertainty relation."""

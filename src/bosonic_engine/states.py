@@ -4,7 +4,8 @@ Natural units throughout: hbar = omega = k_B = 1, so temperatures are
 dimensionless and energies are in units of hbar*omega.  All states carry
 zero displacement and are fully described by the two covariance-matrix
 parameters (n, m).  The squeezing phase is zero, which keeps m real and
-non-negative.
+non-negative.  A temperature is a plain float tau = k_B T / (hbar omega);
+:func:`check_temperature` is the one check that it is positive and finite.
 """
 
 from __future__ import annotations
@@ -13,21 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-__all__ = [
-    "Temperature",
-    "SqueezedThermalState",
-    "CovarianceMatrix",
-    "bose_einstein",
-    "tau_of_occupancy",
-    "covariance_of",
-    "is_p_representable",
-    "is_physical_nm",
-    "classicality",
-    "classicality_grid",
-    "critical_squeezing",
-    "BOUNDARY_TOL",
-]
 
 # |C| below this counts as sitting on the classical/non-classical boundary,
 # so that region labelling is deterministic under floating point.
@@ -40,17 +26,6 @@ PHYSICALITY_TOL = 1e-12
 # (n + 1/2)^2: the squares and their difference, plus a few ulps of error
 # in n and m themselves.  It grows with n^2, which no fixed slack does.
 SQUARE_ROUNDING = 8 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class Temperature:
-    """Dimensionless temperature tau = k_B*T / (hbar*omega), strictly positive."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not (self.tau > 0.0) or not math.isfinite(self.tau):
-            raise ValueError(f"temperature must be positive and finite, got tau={self.tau}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +63,8 @@ class CovarianceMatrix:
         d = self.n_cm + 0.5
         return np.array([[d, self.m_cm], [self.m_cm, d]])
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return bool(is_physical_nm(self.n_cm, self.m_cm, tol))
+    def is_physical(self) -> bool:
+        return bool(is_physical_nm(self.n_cm, self.m_cm, PHYSICALITY_TOL))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the comparisons judge inf and NaN
@@ -114,20 +89,21 @@ def is_physical_nm(n, m, slack: float):
     return (n >= -slack) & (square >= bound)
 
 
-def _tau(tau: Temperature | float) -> float:
-    t = tau.tau if isinstance(tau, Temperature) else float(tau)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"temperature must be positive and finite, got tau={t}")
-    return t
+def check_temperature(tau: float) -> float:
+    """tau as a float; ValueError unless it is positive and finite."""
+    tau = float(tau)
+    if not (tau > 0.0) or not math.isfinite(tau):
+        raise ValueError(f"temperature must be positive and finite, got tau={tau}")
+    return tau
 
 
-def bose_einstein(tau: Temperature | float) -> float:
+def bose_einstein(tau: float) -> float:
     """Thermal occupancy 1/(e^{1/tau} - 1) of the mode at temperature tau.
 
     Where e^{1/tau} overflows (1/tau > 709.78) the occupancy is e^{-1/tau}
     to double precision, and underflows to 0 for 1/tau > 745.
     """
-    x = 1.0 / _tau(tau)
+    x = 1.0 / check_temperature(tau)
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:
@@ -208,7 +184,7 @@ def classicality_grid(n_th, r: np.ndarray) -> np.ndarray:
     return (np.asarray(n_th) + 0.5) * decay - 0.5
 
 
-def critical_squeezing(tau: Temperature | float) -> float:
+def critical_squeezing(tau: float) -> float:
     """Squeezing r_c at which the squeezed thermal state turns non-classical.
 
     r_c = (1/2) ln(2 n_th + 1); classicality vanishes exactly at r = r_c

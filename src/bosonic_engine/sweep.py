@@ -39,9 +39,6 @@ from .dynamics import (TRAJECTORY_COLUMNS, BathSpec, MomentState, evolve, rk4_st
                        trajectory_columns)
 from .states import bose_einstein, classicality_grid
 
-__all__ = ["SweepSpec", "UsageError", "load_config", "parse_config", "serialize_spec",
-           "run_sweep", "MODES", "COLUMNS"]
-
 KINDS = tuple(kind.value for kind in CycleKind)
 
 # Largest r grid.  generalized-sweep holds about 30 float64 arrays of the
@@ -293,6 +290,7 @@ def run_sweep(spec: SweepSpec) -> str:
         with open(tmp_manifest, "w") as fh:
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         os.replace(tmp_csv, path)
+        tmp_csv = path  # the CSV is in place; a failed manifest rename removes it
         os.replace(tmp_manifest, manifest_path)
     except BaseException:
         for tmp in (tmp_csv, tmp_manifest):

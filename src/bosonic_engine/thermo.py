@@ -20,35 +20,22 @@ from typing import Callable, Sequence
 from .errors import QuadratureError
 from .states import SqueezedThermalState
 
-__all__ = [
-    "ThermoPath",
-    "EnergyDelta",
-    "internal_energy",
-    "work_heat_along",
-    "linear_path",
-    "piecewise_linear_path",
-]
-
 DEFAULT_QUAD_TOL = 1e-10
-
-# Central-difference step used when a path carries no derivative callables.
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class ThermoPath:
     """Piecewise-smooth path s in [0, 1] -> (r(s), n_th(s)).
 
-    ``dr_ds`` / ``dn_ds`` are optional exact derivatives; when absent,
-    second-order finite differences are used (slightly less accurate).
-    ``breakpoints`` lists interior parameter values where the path is not
-    smooth, so the quadrature can split there.
+    ``dr_ds`` / ``dn_ds`` are the exact derivatives of ``r_of_s`` /
+    ``n_of_s`` and are required.  ``breakpoints`` lists interior parameter
+    values where the path is not smooth, so the quadrature can split there.
     """
 
     r_of_s: Callable[[float], float]
     n_of_s: Callable[[float], float]
-    dr_ds: Callable[[float], float] | None = None
-    dn_ds: Callable[[float], float] | None = None
+    dr_ds: Callable[[float], float]
+    dn_ds: Callable[[float], float]
     breakpoints: tuple[float, ...] = ()
 
     def endpoint_states(self) -> tuple[SqueezedThermalState, SqueezedThermalState]:
@@ -72,16 +59,6 @@ def internal_energy(state: SqueezedThermalState) -> float:
     return (state.n_th + 0.5) * math.cosh(2.0 * state.r)
 
 
-def _derivative(f: Callable[[float], float], s: float) -> float:
-    """Second-order finite difference of f at s, one-sided at the ends."""
-    h = _FD_STEP
-    if s < h:
-        return (-3.0 * f(s) + 4.0 * f(s + h) - f(s + 2.0 * h)) / (2.0 * h)
-    if s > 1.0 - h:
-        return (3.0 * f(s) - 4.0 * f(s - h) + f(s - 2.0 * h)) / (2.0 * h)
-    return (f(s + h) - f(s - h)) / (2.0 * h)
-
-
 def _quad(f: Callable[[float], float], quad_tol: float, points: Sequence[float]) -> float:
     # Imported here, not at module level: scipy.integrate adds about 0.6 s
     # and 50 MiB to the package's import, and only path quadrature uses it.
@@ -102,10 +79,7 @@ def _quad(f: Callable[[float], float], quad_tol: float, points: Sequence[float])
         except integrate.IntegrationWarning as exc:
             raise QuadratureError(f"path quadrature did not converge: {exc}") from exc
     if abserr > 10.0 * max(quad_tol * abs(value), 1e-12):
-        raise QuadratureError(
-            f"path quadrature error estimate {abserr:.3e} exceeds tolerance",
-            achieved=abserr,
-        )
+        raise QuadratureError(f"path quadrature error estimate {abserr:.3e} exceeds tolerance")
     return value
 
 
@@ -121,14 +95,11 @@ def work_heat_along(path: ThermoPath, quad_tol: float = DEFAULT_QUAD_TOL) -> Ene
     if not (0.0 < quad_tol <= 1e-3):
         raise ValueError(f"quad_tol must be in (0, 1e-3], got {quad_tol}")
 
-    dr = path.dr_ds if path.dr_ds is not None else (lambda s: _derivative(path.r_of_s, s))
-    dn = path.dn_ds if path.dn_ds is not None else (lambda s: _derivative(path.n_of_s, s))
-
     def work_integrand(s: float) -> float:
-        return 2.0 * (path.n_of_s(s) + 0.5) * math.sinh(2.0 * path.r_of_s(s)) * dr(s)
+        return 2.0 * (path.n_of_s(s) + 0.5) * math.sinh(2.0 * path.r_of_s(s)) * path.dr_ds(s)
 
     def heat_integrand(s: float) -> float:
-        return math.cosh(2.0 * path.r_of_s(s)) * dn(s)
+        return math.cosh(2.0 * path.r_of_s(s)) * path.dn_ds(s)
 
     work_on = _quad(work_integrand, quad_tol, path.breakpoints)
     heat_in = _quad(heat_integrand, quad_tol, path.breakpoints)
@@ -139,25 +110,13 @@ def work_heat_along(path: ThermoPath, quad_tol: float = DEFAULT_QUAD_TOL) -> Ene
     budget = 10.0 * quad_tol * max(abs(e_start), abs(e_end), 1.0)
     mismatch = abs(d_e - (work_on + heat_in))
     if mismatch > budget:
-        raise QuadratureError(
-            f"first-law mismatch {mismatch:.3e} exceeds budget {budget:.3e}",
-            achieved=mismatch,
-        )
+        raise QuadratureError(f"first-law mismatch {mismatch:.3e} exceeds budget {budget:.3e}")
     return EnergyDelta(work_on=work_on, heat_in=heat_in, dE=d_e)
 
 
-def linear_path(
-    start: SqueezedThermalState, end: SqueezedThermalState
-) -> ThermoPath:
+def linear_path(start: SqueezedThermalState, end: SqueezedThermalState) -> ThermoPath:
     """Straight segment in the (r, n_th) plane with exact derivatives."""
-    r0, r1 = start.r, end.r
-    n0, n1 = start.n_th, end.n_th
-    return ThermoPath(
-        r_of_s=lambda s: r0 + s * (r1 - r0),
-        n_of_s=lambda s: n0 + s * (n1 - n0),
-        dr_ds=lambda s: r1 - r0,
-        dn_ds=lambda s: n1 - n0,
-    )
+    return piecewise_linear_path([(start.r, start.n_th), (end.r, end.n_th)])
 
 
 def piecewise_linear_path(vertices: Sequence[tuple[float, float]]) -> ThermoPath:

@@ -29,6 +29,7 @@ from bosonic_engine.sweep import (
     run_sweep,
     serialize_spec,
 )
+from textdiff import assert_equal_text
 
 
 class TestParseConfig:
@@ -327,6 +328,13 @@ class TestCliMain:
         assert cli.main(["otto-sweep", "--points", "3", "--output", str(out)]) == 4
         assert [p.name for p in tmp_path.iterdir()] == ["otto.csv.manifest.json.tmp"]
 
+    def test_failed_manifest_rename_removes_the_csv(self, tmp_path, capsys):
+        out = tmp_path / "otto.csv"
+        (tmp_path / "otto.csv.manifest.json").mkdir()  # the manifest cannot be renamed
+        assert cli.main(["otto-sweep", "--points", "3", "--output", str(out)]) == 4
+        assert "i/o" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["otto.csv.manifest.json"]
+
     def test_numeric_failure_exit_three(self, tmp_path, monkeypatch, capsys):
         from bosonic_engine.errors import QuadratureError
 
@@ -519,7 +527,7 @@ class TestOutputFormat:
                       BathSpec(tau=2.5, r_bath=0.4, gamma=1.5), t_final=3.0, dt_max=1e-3 / 1.5)
         direct = tmp_path / "direct.csv"
         write_trajectory_csv(traj, direct)
-        assert out.read_bytes() == direct.read_bytes()
+        assert_equal_text(out.read_bytes(), direct.read_bytes())
 
     def test_subcommand_flags_unchanged(self):
         expected = {

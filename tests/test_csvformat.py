@@ -17,6 +17,7 @@ from bosonic_engine import cli
 from bosonic_engine.csvformat import (CSV_BLOCK_ROWS, Labels, _csv_digits, _decimal_digits,
                                       _digit_groups, _round_off, json_items, write_csv)
 from bosonic_engine.states import bose_einstein
+from textdiff import assert_equal_text, assert_equal_texts
 
 
 def template_csv(header, columns) -> str:
@@ -39,7 +40,7 @@ def block_csv(header, columns) -> str:
 
 def assert_same_text(columns):
     header = tuple(f"c{j}" for j in range(len(columns)))
-    assert block_csv(header, columns) == template_csv(header, columns)
+    assert_equal_text(block_csv(header, columns), template_csv(header, columns))
 
 
 def neighbours(values) -> np.ndarray:
@@ -234,7 +235,7 @@ class TestDigitRoute:
 
 def assert_same_json(values):
     values = np.asarray(values, dtype=float)
-    assert json_items([values]) == [json.dumps(values.tolist())[1:-1]]
+    assert_equal_texts(json_items([values]), [json.dumps(values.tolist())[1:-1]])
 
 
 def half_way(digits: int, exponents) -> np.ndarray:
@@ -290,14 +291,14 @@ class TestJsonItems:
                   np.array([5e-324, 3.0], dtype=np.float32)]
         for sep in (", ", ",", ",\n      "):
             want = [json.dumps(a.tolist(), separators=(sep, ": "))[1:-1] for a in arrays]
-            assert json_items(arrays, sep) == want
+            assert_equal_texts(json_items(arrays, sep), want)
         assert json_items([np.array([])]) == [""]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
                     | st.sampled_from(JSON_EDGES.tolist()), max_size=64))
     def test_arbitrary_floats(self, values):
-        assert json_items([np.array(values, dtype=float)]) == [json.dumps(values)[1:-1]]
+        assert_equal_texts(json_items([np.array(values, dtype=float)]), [json.dumps(values)[1:-1]])
 
 
 # SHA-256 of the CSVs of the README examples and of each mode's default

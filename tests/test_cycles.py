@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -24,7 +25,8 @@ from bosonic_engine import (
     run_generalized,
     run_otto,
 )
-from bosonic_engine.cycles import ClassicalityTrace
+from bosonic_engine.cycles import ClassicalityTrace, generalized_ledger, printed_efficiency
+from textdiff import assert_equal_text
 
 N1 = bose_einstein(1.0)
 N2 = bose_einstein(2.0)
@@ -296,6 +298,39 @@ class TestEngineConfigValidation:
             EngineConfig(1.0, 2.0, -0.5)
 
 
+GRID = np.linspace(0.0, 3.0, 5)
+
+# The entry points that raise FloatingPointError on overflow, at a working
+# point and past an overflow.
+ERROR_STATE_CALLS = {
+    "run_otto": lambda: run_otto(otto_cfg(0.5)),
+    "run_generalized": lambda: run_generalized(gen_cfg(0.5)),
+    "generalized_ledger": lambda: generalized_ledger(1.0, 2.0, GRID),
+    "generalized_r_hot": lambda: generalized_r_hot(gen_cfg(0.5)),
+    "printed_efficiency": lambda: printed_efficiency(1.0, 2.0, GRID),
+    "closed_form_terms": lambda: closed_form_terms(gen_cfg(0.5)),
+    "otto_efficiency": lambda: otto_efficiency(GRID),
+    "run_otto-overflow": lambda: run_otto(otto_cfg(400.0)),
+    "generalized_ledger-overflow": lambda: generalized_ledger(1.0, 2.0, [400.0]),
+}
+
+
+class TestErrorState:
+    """A call leaves numpy's floating-point error state as it found it.
+
+    numpy 1.x's errstate keeps the state it replaces on the instance, so
+    one instance entered again before its exit would restore "raise", not
+    the caller's state, for the rest of the process.
+    """
+
+    @pytest.mark.parametrize("name", ERROR_STATE_CALLS)
+    def test_call_restores_the_error_state(self, name):
+        before = np.geterr()
+        with contextlib.suppress(FloatingPointError):
+            ERROR_STATE_CALLS[name]()
+        assert np.geterr() == before
+
+
 class TestReportSerialization:
     def test_json_document(self):
         report = run_otto(otto_cfg(0.5))
@@ -338,8 +373,8 @@ class TestReportJsonText:
     @pytest.mark.parametrize("indent", [None, 0, 2])
     def test_random_configs(self, indent):
         for report in random_reports(200, seed=23):
-            assert report_to_json(report, indent) == json.dumps(report_to_dict(report),
-                                                                indent=indent)
+            assert_equal_text(report_to_json(report, indent),
+                              json.dumps(report_to_dict(report), indent=indent))
 
     @pytest.mark.parametrize("indent", [None, 0, 2, "\t"])
     def test_extreme_trace_values(self, indent):
@@ -349,8 +384,8 @@ class TestReportJsonText:
         trace = ClassicalityTrace(stroke=("squeeze",) * values.size, r=values, n=values[::-1],
                                   c=-values)
         report = dataclasses.replace(report, classicality_trace=trace)
-        assert report_to_json(report, indent) == json.dumps(report_to_dict(report),
-                                                            indent=indent)
+        assert_equal_text(report_to_json(report, indent),
+                          json.dumps(report_to_dict(report), indent=indent))
 
     @pytest.mark.parametrize("indent", [None, 2])
     def test_custom_labels_and_empty_lists(self, indent):
@@ -359,8 +394,8 @@ class TestReportJsonText:
                                   n=np.array([1.0, 0.5]), c=np.array([]))
         for t in (trace, dataclasses.replace(trace, stroke=())):
             report = dataclasses.replace(report, classicality_trace=t)
-            assert report_to_json(report, indent) == json.dumps(report_to_dict(report),
-                                                                indent=indent)
+            assert_equal_text(report_to_json(report, indent),
+                              json.dumps(report_to_dict(report), indent=indent))
 
     # SHA-256 of two reports (schema version 2) as json.dumps(report_to_dict(report)) wrote them
     @pytest.mark.parametrize("cfg, indent, digest", [

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from bosonic_engine import (
     CovarianceMatrix,
     SqueezedThermalState,
-    Temperature,
     bose_einstein,
     classicality,
     covariance_of,
@@ -32,9 +31,6 @@ class TestBoseEinstein:
     def test_reference_values(self):
         assert bose_einstein(1.0) == pytest.approx(N_TAU1, abs=1e-12)
         assert bose_einstein(2.0) == pytest.approx(N_TAU2, abs=1e-12)
-
-    def test_accepts_temperature_type(self):
-        assert bose_einstein(Temperature(1.0)) == bose_einstein(1.0)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive(self, tau):

@@ -68,23 +68,6 @@ class TestWorkHeatAlong:
         with pytest.raises(ValueError):
             work_heat_along(path, quad_tol=0.0)
 
-    def test_finite_difference_fallback(self):
-        # no derivative callables: same result, slightly looser tolerance
-        path = ThermoPath(
-            r_of_s=lambda s: 0.5 * s,
-            n_of_s=lambda s: N1 + (N2 - N1) * s,
-        )
-        exact = ThermoPath(
-            r_of_s=path.r_of_s,
-            n_of_s=path.n_of_s,
-            dr_ds=lambda s: 0.5,
-            dn_ds=lambda s: N2 - N1,
-        )
-        fd = work_heat_along(path, quad_tol=1e-8)
-        ref = work_heat_along(exact)
-        assert fd.work_on == pytest.approx(ref.work_on, rel=1e-7)
-        assert fd.heat_in == pytest.approx(ref.heat_in, rel=1e-7)
-
     def test_first_law_on_random_polylines(self):
         rng = np.random.default_rng(7)
         quad_tol = 1e-10
@@ -136,7 +119,7 @@ class TestWorkHeatAlong:
             assert de_dn == pytest.approx(math.cosh(2 * r), abs=1e-6)
 
 
-def test_quadrature_failure_reports_achieved_tolerance():
+def test_unresolvable_integrand_raises_quadrature_error():
     # an integrand quadpack cannot resolve at the requested tolerance
     path = ThermoPath(
         r_of_s=lambda s: 0.3 + 0.2 * math.sin(1.0 / (s + 1e-4)),
