@@ -10,7 +10,7 @@ k_B = 1 everywhere.
 __version__ = "0.1.0"
 SCHEMA_VERSION = 2  # of the cycle report JSON and the sweep manifest
 
-from .errors import CycleConsistencyError, PhysicalityError, QuadratureError
+from .errors import CycleConsistencyError, PhysicalityError
 from .states import (
     BOUNDARY_TOL,
     CovarianceMatrix,
@@ -26,7 +26,6 @@ from .thermo import (
     EnergyDelta,
     ThermoPath,
     internal_energy,
-    linear_path,
     piecewise_linear_path,
     work_heat_along,
 )

@@ -13,7 +13,7 @@ import dataclasses
 import functools
 import sys
 
-from .errors import CycleConsistencyError, PhysicalityError, QuadratureError
+from .errors import CycleConsistencyError, PhysicalityError
 from .sweep import MODES, SweepSpec, UsageError, build_spec, load_config, run_sweep
 
 EXIT_OK = 0
@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         values.update((key, flag) for key, flag in flags.items() if flag is not None)
         spec = build_spec(values)
         path = run_sweep(spec)
-    except (QuadratureError, PhysicalityError, CycleConsistencyError,
+    except (PhysicalityError, CycleConsistencyError,
             ArithmeticError) as exc:  # FloatingPointError and OverflowError among them
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,10 +1,6 @@
 """Error types shared across the package."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class PhysicalityError(RuntimeError):
     """A trajectory point violated the symplectic uncertainty relation."""
 

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from bosonic_engine import cli
+from bosonic_engine import (CycleConsistencyError, PhysicalityError, cli,
+                            piecewise_linear_path, work_heat_along)
 from bosonic_engine.dynamics import (MAX_RK4_STEPS, BathSpec, MomentState, evolve,
                                      write_trajectory_csv)
 from bosonic_engine.states import bose_einstein, critical_squeezing
@@ -335,16 +336,17 @@ class TestCliMain:
         assert "i/o" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["otto.csv.manifest.json"]
 
-    def test_numeric_failure_exit_three(self, tmp_path, monkeypatch, capsys):
-        from bosonic_engine.errors import QuadratureError
-
+    @pytest.mark.parametrize("error", [PhysicalityError, CycleConsistencyError,
+                                       FloatingPointError, OverflowError],
+                             ids=lambda error: error.__name__)
+    def test_numeric_failure_exit_three(self, tmp_path, monkeypatch, capsys, error):
         def boom(spec):
-            raise QuadratureError("did not converge")
+            raise error("did not converge")
 
         monkeypatch.setattr(cli, "run_sweep", boom)
         code = cli.main(["otto-sweep", "--output", str(tmp_path / "x.csv")])
         assert code == 3
-        assert "numeric" in capsys.readouterr().err
+        assert capsys.readouterr().err == "numeric failure: did not converge\n"
 
 
 class TestSizeCaps:
@@ -413,11 +415,30 @@ class TestNumericRobustness:
             "grid.csv", "grid.csv.manifest.json"]
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    code = ("import sys, bosonic_engine.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
+# Runs with scipy unimportable: every CLI mode and one path integral.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # "import scipy" and its submodules now raise ImportError
+from bosonic_engine import cli, piecewise_linear_path, work_heat_along
+from bosonic_engine.sweep import MODES
+for mode in MODES:
+    code = cli.main([mode, "--points", "3", "--t-final", "0.05", "--output", mode + ".csv"])
+    if code:
+        sys.exit(f"{mode} exited {code}")
+print(work_heat_along(piecewise_linear_path([(0.0, 0.5), (0.8, 0.5), (0.8, 1.5)])).work_on)
+"""
+
+
+def test_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for mode in MODES for name in (f"{mode}.csv", f"{mode}.csv.manifest.json"))
+    work = float(run.stdout.splitlines()[-1])
+    assert work == work_heat_along(piecewise_linear_path([(0.0, 0.5), (0.8, 0.5),
+                                                          (0.8, 1.5)])).work_on
 
 
 class TestNumericEdges:

@@ -1,7 +1,7 @@
 """The array ledger kernel and the whole-grid sweep columns.
 
-References: the adaptive path quadrature (`work_heat_along`) for the
-closed-form hot-contact stroke, the scalar library functions for the
+References: adaptive quadrature (`scipy.integrate.quad`) of the work and
+heat integrands along the curved hot-contact stroke for its closed form, the scalar library functions for the
 array forms that keep their arithmetic, and mpmath at 50 digits for every
 numeric column of every grid mode.
 """
@@ -12,12 +12,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from bosonic_engine import (
     CycleKind,
     EngineConfig,
     SqueezedThermalState,
-    ThermoPath,
     bose_einstein,
     classicality,
     classify_region,
@@ -25,7 +25,6 @@ from bosonic_engine import (
     generalized_efficiency_closed_form,
     otto_efficiency,
     run_generalized,
-    work_heat_along,
 )
 from bosonic_engine.csvformat import Labels
 from bosonic_engine.cycles import REGIONS, classify_regions, generalized_ledger
@@ -47,16 +46,22 @@ GRID_SPECS = [
 ]
 
 
-def iso_classicality_path(tc, th, r_t):
-    """The hot-contact stroke as a ThermoPath with exact derivatives."""
+def iso_classicality_quadrature(tc, th, r_t):
+    """Work and heat of the hot-contact stroke by adaptive quadrature.
+
+    The stroke holds (n + 1/2) e^{-2r} fixed from r_t, where n = n_cold, to
+    where n = n_hot; s in [0, 1] runs along it at constant dr/ds.
+    """
     a = bose_einstein(tc) + 0.5
     delta = 0.5 * math.log((bose_einstein(th) + 0.5) / a)
-    return ThermoPath(
-        r_of_s=lambda s: r_t + s * delta,
-        n_of_s=lambda s: a * math.exp(2.0 * s * delta) - 0.5,
-        dr_ds=lambda s: delta,
-        dn_ds=lambda s: 2.0 * a * delta * math.exp(2.0 * s * delta),
-    )
+
+    def work(s):  # 2 (n + 1/2) sinh(2r) dr/ds
+        return 2.0 * a * math.exp(2.0 * s * delta) * math.sinh(2.0 * (r_t + s * delta)) * delta
+
+    def heat(s):  # cosh(2r) dn/ds
+        return math.cosh(2.0 * (r_t + s * delta)) * 2.0 * a * delta * math.exp(2.0 * s * delta)
+
+    return tuple(integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)[0] for f in (work, heat))
 
 
 def texts(column) -> list:
@@ -111,9 +116,9 @@ class TestHotContactClosedForm:
         r_t = np.array([0.0, 0.05, 0.5, 1.3, 2.5])
         ledger = generalized_ledger(tc, th, r_t)
         for k, rt in enumerate(r_t):
-            quad = work_heat_along(iso_classicality_path(tc, th, float(rt)))
-            assert ledger.work_on[1, k] == pytest.approx(quad.work_on, rel=1e-10)
-            assert ledger.heat_in[1, k] == pytest.approx(quad.heat_in, rel=1e-10)
+            work, heat = iso_classicality_quadrature(tc, th, float(rt))
+            assert ledger.work_on[1, k] == pytest.approx(work, rel=1e-10)
+            assert ledger.heat_in[1, k] == pytest.approx(heat, rel=1e-10)
 
     def test_equal_temperatures_book_nothing(self):
         ledger = generalized_ledger(1.5, 1.5, np.linspace(0.0, 2.0, 5))

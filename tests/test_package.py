@@ -15,11 +15,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "BOUNDARY_TOL", "BathSpec", "CovarianceMatrix", "CycleConsistencyError", "CycleKind",
     "CycleReport", "EnergyDelta", "EngineConfig", "MomentState", "MomentTrajectory",
-    "PhysicalityError", "QuadratureError", "SCHEMA_VERSION", "SqueezedThermalState",
+    "PhysicalityError", "SCHEMA_VERSION", "SqueezedThermalState",
     "StrokeRecord", "SweepSpec", "ThermoPath", "UsageError", "bose_einstein",
     "carnot_efficiency", "classicality", "classify_region", "closed_form_terms",
     "covariance_of", "critical_squeezing", "evolve", "generalized_efficiency_closed_form",
-    "generalized_r_hot", "internal_energy", "is_p_representable", "linear_path",
+    "generalized_r_hot", "internal_energy", "is_p_representable",
     "otto_efficiency", "parse_config", "piecewise_linear_path", "report_to_dict",
     "report_to_json", "run_generalized", "run_otto", "run_sweep", "serialize_spec",
     "steady_state", "tau_of_occupancy", "work_heat_along", "write_trajectory_csv",
