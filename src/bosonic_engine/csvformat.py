@@ -164,12 +164,6 @@ class Labels:
     codes: np.ndarray
     names: tuple[str, ...]
 
-    @classmethod
-    def of(cls, texts: np.ndarray) -> Labels:
-        """The Labels of a numpy string array, one name per distinct text."""
-        names, codes = np.unique(texts, return_inverse=True)
-        return cls(codes.reshape(-1), tuple(names.tolist()))
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -360,13 +354,11 @@ def _format_block(columns: list[np.ndarray | Labels]) -> bytes:
 def write_csv(fh, header: tuple[str, ...], columns: list[np.ndarray | Labels]) -> None:
     """Write a header and one '\\n'-terminated line per row to the text file fh.
 
-    Numbers are written as '%.15g' (the text of format(x, '.15g')), text
-    (:class:`Labels` or a string array) as it is; CSV_BLOCK_ROWS rows are
+    Numbers are written as '%.15g' (the text of format(x, '.15g')), the
+    names of a :class:`Labels` column as they are; CSV_BLOCK_ROWS rows are
     formatted at a time.
     """
     fh.write(",".join(header))
-    columns = [Labels.of(col) if isinstance(col, np.ndarray) and col.dtype.kind == "U" else col
-               for col in columns]
     rows = len(columns[0]) if columns else 0
     for start in range(0, rows, CSV_BLOCK_ROWS):
         fh.write(_format_block([col[start:start + CSV_BLOCK_ROWS] for col in columns]).decode())
@@ -396,12 +388,12 @@ def _shortest_digits(x: np.ndarray):
     return d, ei, fast
 
 
-def json_items(arrays: list[np.ndarray], sep: str = ", ") -> list[str]:
-    """The items of each array as JSON numbers, joined by sep.
+def json_items(arrays: list[np.ndarray]) -> list[str]:
+    """The items of each array as JSON numbers, joined by ', '.
 
     Each text is the one json.dumps writes between the brackets of
-    list(array) with item separator sep: float.__repr__ of each value as
-    a float64, or NaN, Infinity or -Infinity.
+    list(array): float.__repr__ of each value as a float64, or NaN,
+    Infinity or -Infinity.
     """
     sizes = [len(a) for a in arrays]
     x = np.concatenate(arrays, dtype=np.float64)
@@ -416,5 +408,6 @@ def json_items(arrays: list[np.ndarray], sep: str = ", ") -> list[str]:
     if slow.size:
         width = cell_bytes.shape[1] - 1
         _fill(cell_bytes, slow, "".join(json.dumps(v).ljust(width) for v in x[slow].tolist()))
-    texts = iter(cells.tobytes().translate(None, b"\xff").decode().split("\n")[1:])
-    return [next(texts).replace(",", sep) if size else "" for size in sizes]
+    text = cells.tobytes().translate(None, b"\xff").replace(b",", b", ")
+    texts = iter(text.decode().split("\n")[1:])
+    return [next(texts) if size else "" for size in sizes]

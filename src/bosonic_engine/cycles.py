@@ -46,7 +46,7 @@ from .states import (
 FIRST_LAW_TOL = 1e-9
 TRACE_POINTS_PER_STROKE = 256
 STROKES = ("squeeze", "hot-contact", "unsqueeze", "cold-contact")
-# The labels of classify_region; classify_regions gives codes into it.
+# The region labels; classify_regions gives codes into them.
 REGIONS = ("i", "ii", "iii", "boundary")
 
 # The largest x whose e^x is finite.
@@ -234,28 +234,17 @@ def generalized_efficiency_closed_form(cfg: EngineConfig) -> float:
 
 
 def classify_region(cfg: EngineConfig) -> str:
-    """Working-point label against the two critical squeezings.
-
-    'i': classical at both temperatures (r < r_c(tau_cold));
-    'ii': non-classical only at tau_cold; 'iii': non-classical at both;
-    'boundary': within 1e-12 of either threshold.
-    """
-    rc_cold = critical_squeezing(cfg.tau_cold)
-    rc_hot = critical_squeezing(cfg.tau_hot)
-    r = cfg.r_work
-    if abs(r - rc_cold) <= BOUNDARY_TOL or abs(r - rc_hot) <= BOUNDARY_TOL:
-        return "boundary"
-    if r < rc_cold:
-        return "i"
-    if r < rc_hot:
-        return "ii"
-    return "iii"
+    """The region label of the working point r_work (see :func:`classify_regions`)."""
+    return REGIONS[classify_regions(cfg.tau_cold, cfg.tau_hot, np.array([cfg.r_work])).codes[0]]
 
 
 def classify_regions(tau_cold: float, tau_hot: float, r: np.ndarray) -> Labels:
-    """:func:`classify_region` at every squeezing of an array, as codes into REGIONS.
+    """Working-point labels against the two critical squeezings, as codes into REGIONS.
 
-    Array comparisons only; a NaN r is 'iii', as no comparison holds for it.
+    'i': classical at both temperatures (r < r_c(tau_cold));
+    'ii': non-classical only at tau_cold; 'iii': non-classical at both;
+    'boundary': within 1e-12 of either threshold.  Array comparisons only;
+    a NaN r is 'iii', as no comparison holds for it.
     """
     rc_cold = critical_squeezing(tau_cold)
     rc_hot = critical_squeezing(tau_hot)
@@ -270,13 +259,13 @@ def _book(n: np.ndarray, r: np.ndarray, work_on: np.ndarray,
           heat_in: np.ndarray) -> Ledger:
     """Check a four-stroke ledger and total it.
 
-    Every stroke must obey the first law, the cycle must return to its
-    initial state and its energy must close.  Each test is written as
-    ``~(gap <= tol)`` so that a NaN fails it.
+    Every stroke must obey the first law to 1e-9 of its larger end energy,
+    the cycle must return to its initial state and its energy must close.
+    Each test is written as ``~(gap <= tol)`` so that a NaN fails it.
     """
-    d_e = np.diff((n + 0.5) * np.cosh(2.0 * r), axis=0)
-    gap = np.abs(work_on + heat_in - d_e)
-    bad = ~(gap <= FIRST_LAW_TOL * np.maximum(1.0, np.abs(d_e)))
+    energy = (n + 0.5) * np.cosh(2.0 * r)
+    gap = np.abs(work_on + heat_in - np.diff(energy, axis=0))
+    bad = ~(gap <= FIRST_LAW_TOL * np.maximum(1.0, np.maximum(energy[:-1], energy[1:])))
     if bad.any():
         k, i = np.argwhere(bad)[0]
         raise CycleConsistencyError(
@@ -467,29 +456,21 @@ def report_to_dict(report: CycleReport) -> dict:
     })
 
 
-_TRACE_KEYS = ("stroke", "r", "n", "classicality")
-# The JSON items of the shared trace labels, joined by ", ".
-_TRACE_STROKES_JSON = json.dumps(list(_TRACE_STROKES))[1:-1]
+# The JSON list of the shared trace labels.
+_TRACE_STROKES_JSON = json.dumps(list(_TRACE_STROKES))
 
 
-def report_to_json(report: CycleReport, indent: int | None = None) -> str:
-    """The text of json.dumps(report_to_dict(report), indent=indent), byte for byte.
+def report_to_json(report: CycleReport) -> str:
+    """The text of json.dumps(report_to_dict(report)), byte for byte.
 
-    The document is dumped with one null in each non-empty trace list; the
-    trace comes last, so the last nulls of the text are those, and the
-    items take their place.  csvformat.json_items formats the numbers an
-    array at a time, with no Python float per value.
+    The report is dumped with an empty trace, which comes last, and the
+    trace lists follow the opening brace of the trace.  csvformat.json_items
+    formats their numbers an array at a time, with no Python float per
+    value.  Indented text is json.dumps(report_to_dict(report), indent=...).
     """
     trace = report.classicality_trace
-    values = (trace.stroke, trace.r, trace.n, trace.c)
-    filled = [len(v) > 0 for v in values]
-    doc = _report_dict(report, {key: [None] if full else []
-                                for key, full in zip(_TRACE_KEYS, filled)})
-    head, *tails = json.dumps(doc, indent=indent).rsplit("null", sum(filled))
-    newline = head[head.rindex("[") + 1:]        # the line break and indent before an item
-    sep = ("," if newline else ", ") + newline
-    labels = (_TRACE_STROKES_JSON.replace(", ", sep) if trace.stroke is _TRACE_STROKES
-              else json.dumps(list(trace.stroke), separators=(sep, ": "))[1:-1])
-    items = [labels, *json_items([trace.r, trace.n, trace.c], sep)]
-    return head + "".join(text + tail for text, tail in
-                          zip((text for text, full in zip(items, filled) if full), tails))
+    head = json.dumps(_report_dict(report, {}))[:-2]     # without the closing '}}'
+    labels = (_TRACE_STROKES_JSON if trace.stroke is _TRACE_STROKES
+              else json.dumps(list(trace.stroke)))
+    r, n, c = json_items([trace.r, trace.n, trace.c])
+    return f'{head}"stroke": {labels}, "r": [{r}], "n": [{n}], "classicality": [{c}]}}}}'

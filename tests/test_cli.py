@@ -518,6 +518,22 @@ class TestNumericEdges:
         assert all(float(x) == 1.0 for x in cols["eta_printed_fg"])
         assert all(float(x) == 0.0 for x in cols["eta_carnot"])
 
+    @pytest.mark.parametrize("argv", [
+        ["generalized-sweep", "--tau-cold", "1", "--tau-hot", "1.000001", "--r-max", "40",
+         "--points", "3"],
+        ["cycle-trace", "--kind", "generalized", "--tau-cold", "1", "--tau-hot", "1.000000001",
+         "--r-work", "10"],
+    ], ids=["generalized-sweep", "cycle-trace"])
+    def test_near_equal_temperatures_at_large_squeezing(self, tmp_path, argv):
+        # the hot contact's work and heat are small against its energies of order e^{2r}
+        out = tmp_path / "near.csv"
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        numeric = [i for i, name in enumerate(header) if name not in ("region", "stroke")]
+        assert rows and np.all(np.isfinite([[float(row[i]) for i in numeric] for row in rows]))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "near.csv", "near.csv.manifest.json"]
+
 
 SMALL_SPECS = {
     "classicality-curve": {"points": 7},

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from bosonic_engine import (
+    BOUNDARY_TOL,
+    CycleConsistencyError,
     CycleKind,
     EngineConfig,
     SqueezedThermalState,
@@ -27,7 +29,7 @@ from bosonic_engine import (
     run_generalized,
 )
 from bosonic_engine.csvformat import Labels
-from bosonic_engine.cycles import REGIONS, classify_regions, generalized_ledger
+from bosonic_engine.cycles import REGIONS, _book, classify_regions, generalized_ledger
 from bosonic_engine.sweep import COLUMNS, MODES, _columns, build_spec
 
 mp.mp.dps = 50
@@ -141,29 +143,65 @@ def test_kernel_and_run_generalized_bit_identical():
     assert ledger.q_hot_in.tolist() == [report.q_hot_in for report in scalar]
 
 
+@pytest.mark.parametrize("tc, th, r_t", [(1.0, 2.0, 0.5), (1.0, 1.000001, 40.0)])
+def test_first_law_gap_of_1e_8_of_the_energy_raises(tc, th, r_t):
+    """The first law holds to 1e-9 of a stroke's larger end energy, not of its change."""
+    ledger = generalized_ledger(tc, th, [r_t])
+    energy = (ledger.n + 0.5) * np.cosh(2.0 * ledger.r)
+    heat_in = ledger.heat_in.copy()
+    heat_in[1] += 1e-8 * energy[2]
+    with pytest.raises(CycleConsistencyError,
+                       match="^stroke 'hot-contact' violates the first law by "):
+        _book(ledger.n, ledger.r, ledger.work_on, heat_in)
+
+
+def region_rule(tau_cold, tau_hot, r) -> str:
+    """The region label of one squeezing, one comparison at a time."""
+    rc_cold, rc_hot = critical_squeezing(tau_cold), critical_squeezing(tau_hot)
+    if abs(r - rc_cold) <= BOUNDARY_TOL or abs(r - rc_hot) <= BOUNDARY_TOL:
+        return "boundary"
+    if r < rc_cold:
+        return "i"
+    if r < rc_hot:
+        return "ii"
+    return "iii"
+
+
+def band_points(rcs) -> list:
+    """Each critical squeezing, the edges of its +-1e-12 band and their neighbours."""
+    edges = [rc + d for rc in rcs for d in (-BOUNDARY_TOL, 0.0, BOUNDARY_TOL)]
+    return edges + np.nextafter(edges, -np.inf).tolist() + np.nextafter(edges, np.inf).tolist()
+
+
 def test_regions_match_scalar_labels_around_the_boundary_band():
-    tc, th = 0.7, 1.9
-    r = np.array([rc + k * 1e-13 for rc in (critical_squeezing(tc), critical_squeezing(th))
-                  for k in range(-15, 16)])
-    edges = r[[0, 4, 5, 25, 26]]  # just outside and on both band edges
-    r = np.concatenate([r, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, 3.0]])
-    labels = texts(classify_regions(tc, th, r))
-    assert labels == [classify_region(EngineConfig(tc, th, float(x))) for x in r]
-    assert {"boundary", "i", "ii", "iii"} <= set(labels)
+    for tc, th in [(0.7, 1.9), (1.9, 0.7)]:
+        rcs = (critical_squeezing(tc), critical_squeezing(th))
+        r = np.array([rc + k * 1e-13 for rc in rcs for k in range(-15, 16)])
+        edges = r[[0, 4, 5, 25, 26]]  # just outside and on both band edges
+        r = np.concatenate([r, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            band_points(rcs), [0.0, 3.0, math.nan, math.inf, -math.inf]])
+        labels = texts(classify_regions(tc, th, r))
+        assert labels == [region_rule(tc, th, x) for x in r.tolist()]
+        assert {"boundary", "i", "iii"} | ({"ii"} if tc < th else set()) == set(labels)
+        if tc <= th:  # the one-point call, where EngineConfig accepts the point
+            valid = np.isfinite(r) & (r >= 0.0)
+            assert [classify_region(EngineConfig(tc, th, x)) for x in r[valid].tolist()] == \
+                np.array(labels)[valid].tolist()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8))
 def test_region_codes_match_the_select_form(tc, th, r):
-    """The codes against np.select over the labels, for any temperature order and any r."""
-    r = np.array(r + [critical_squeezing(tc), critical_squeezing(th)], dtype=float)
+    """The codes against np.select over the labels and against the one-point rule,
+    for any temperature order, any r and the edges of both boundary bands."""
     rc_cold, rc_hot = critical_squeezing(tc), critical_squeezing(th)
+    r = np.array(r + band_points((rc_cold, rc_hot)) + [math.nan, math.inf, -math.inf])
     on_boundary = (np.abs(r - rc_cold) <= 1e-12) | (np.abs(r - rc_hot) <= 1e-12)
     labels = classify_regions(tc, th, r)
     want = np.select([on_boundary, r < rc_cold, r < rc_hot], ["boundary", "i", "ii"], "iii")
     assert labels.names == REGIONS and labels.codes.dtype == np.uint8
-    assert texts(labels) == want.tolist()
+    assert texts(labels) == want.tolist() == [region_rule(tc, th, x) for x in r.tolist()]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -224,7 +262,7 @@ def test_grid_columns_against_mpmath(values):
             want = 1 - mp.mpf(tc) / mp.mpf(th)
             assert_close(got, [want] * len(got), EPS * float(want), name)
         elif name == "region":
-            assert got == [classify_region(EngineConfig(tc, th, r)) for r in grid]
+            assert got == [region_rule(tc, th, r) for r in grid]
             rc = [mp.log(2 * occupancy(tau) + 1) / 2 for tau in (tc, th)]
             for r, label in zip(grid, got):
                 if min(abs(mp.mpf(r) - c) for c in rc) > 1e-11:
