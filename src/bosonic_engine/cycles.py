@@ -52,18 +52,17 @@ REGIONS = ("i", "ii", "iii", "boundary")
 # The largest x whose e^x is finite.
 _EXP_ARG_MAX = math.log(sys.float_info.max)
 
-# Overflow, 0/0 and division by zero raise FloatingPointError instead of
-# leaving inf or NaN behind a RuntimeWarning.  It decorates entry points
-# only, none of which calls another: numpy 1.x keeps the replaced state on
-# the instance, so a nested entry would leave "raise" set after the call.
-_RAISE = np.errstate(over="raise", invalid="raise", divide="raise")
-
-
 @contextmanager
-def _naming(quantity: str, r_name: str, r) -> Iterator[None]:
-    """Re-raise a FloatingPointError naming the quantity and the largest squeezing r."""
+def _raising(quantity: str, r_name: str, r) -> Iterator[None]:
+    """Raise FloatingPointError on overflow, 0/0 and division by zero, naming
+    the quantity and the largest squeezing r.
+
+    A fresh errstate per call: numpy 1.x keeps the state it replaces on the
+    instance, so a shared one entered again would leave "raise" set after.
+    """
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except FloatingPointError as exc:
         raise FloatingPointError(
             f"{quantity} at {r_name} up to {np.max(r, initial=0.0):.6g}: {exc}") from exc
@@ -150,7 +149,6 @@ class Ledger:
     efficiency: np.ndarray
 
 
-@_RAISE
 def otto_efficiency(r):
     """Otto efficiency 1 - 1/cosh(2r), temperature independent.
 
@@ -161,6 +159,7 @@ def otto_efficiency(r):
     rs = np.asarray(r, dtype=float)
     if np.any(rs < 0.0):
         raise ValueError(f"squeezing must be >= 0, got {rs.min()}")
+    rs = np.minimum(rs, 20.0)  # both tanh read 1.0 from r = 19.1 on; 2r cannot overflow
     eta = np.tanh(rs) * np.tanh(2.0 * rs)
     return float(eta) if eta.ndim == 0 else eta
 
@@ -192,7 +191,6 @@ def _printed_fg(tau_cold: float, tau_hot: float, r_t: np.ndarray):
     return f, g
 
 
-@_RAISE
 def closed_form_terms(cfg: EngineConfig) -> tuple[float, float]:
     """The printed numerator f and denominator g of the generalized
     efficiency, evaluated verbatim.
@@ -203,11 +201,11 @@ def closed_form_terms(cfg: EngineConfig) -> tuple[float, float]:
     authoritative efficiency.  Raises FloatingPointError where f or g
     overflows.
     """
-    f, g = _printed_fg(cfg.tau_cold, cfg.tau_hot, np.array([cfg.r_work]))
+    with _raising("printed terms f and g", "r_t", cfg.r_work):
+        f, g = _printed_fg(cfg.tau_cold, cfg.tau_hot, np.array([cfg.r_work]))
     return float(f[0]), float(g[0])
 
 
-@_RAISE
 def printed_efficiency(tau_cold: float, tau_hot: float, r_t: np.ndarray) -> np.ndarray:
     """Verbatim 1 - f/g of the printed closed form at every r_t of an array.
 
@@ -216,7 +214,7 @@ def printed_efficiency(tau_cold: float, tau_hot: float, r_t: np.ndarray) -> np.n
     < 2^-54, so 1 - f/g rounds to 1, which is given there, also where
     e^{4 r_t} itself overflows.  Not the ledger efficiency.
     """
-    with _naming("eta_printed_fg", "r_t", r_t):
+    with _raising("eta_printed_fg", "r_t", r_t):
         eta = np.ones(r_t.shape)
         finite = np.flatnonzero(4.0 * r_t <= _EXP_ARG_MAX)
         with np.errstate(over="ignore"):         # g = +-inf: 1 - f/g = 1
@@ -295,7 +293,7 @@ def _four_strokes(n_cold: float, n_hot: float, r_t: np.ndarray, r_r: np.ndarray,
 
     Squeeze 0 -> r_t at n_cold, hot contact to (r_R, n_hot) with the given
     work and heat, unsqueeze r_R -> 0 at n_hot, cold contact to n_cold.
-    Runs, with :func:`_book`, under its caller's ``_RAISE``.
+    Runs, with :func:`_book`, under its caller's :func:`_raising`.
     """
     zero = np.zeros_like(r_t)
     n = np.array([n_cold, n_cold, n_hot, n_hot, n_cold])[:, None] + zero
@@ -306,16 +304,6 @@ def _four_strokes(n_cold: float, n_hot: float, r_t: np.ndarray, r_r: np.ndarray,
     return _book(n, r, work_on, heat_in)
 
 
-@_RAISE
-def _otto_ledger(n_cold: float, n_hot: float, r: float) -> Ledger:
-    """Otto ledger: the hot contact at fixed r takes in (n_hot - n_cold) cosh 2r."""
-    with _naming("Otto cycle ledger", "r", r):
-        r = np.array([r])
-        return _four_strokes(n_cold, n_hot, r, r, np.zeros_like(r),
-                             (n_hot - n_cold) * np.cosh(2.0 * r))
-
-
-@_RAISE
 def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
     """Constant-classicality cycle ledger at every first-stroke squeezing in r_t.
 
@@ -335,7 +323,7 @@ def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
     n2 = bose_einstein(tau_hot)
     a = n1 + 0.5
     delta = 0.5 * math.log((n2 + 0.5) / a)
-    with _naming("generalized cycle ledger", "r_t", r_t):
+    with _raising("generalized cycle ledger", "r_t", r_t):
         try:
             growth = math.expm1(4.0 * delta) / 4.0
         except OverflowError as exc:
@@ -393,14 +381,17 @@ def run_otto(cfg: EngineConfig) -> CycleReport:
 
     All stroke energies are closed-form; the hot bath carries the same
     squeezing r as the mode, so the hot contact changes only the
-    occupancy.  Net extracted work is 2 (n_hot - n_cold) sinh^2 r and the
-    efficiency reduces to 1 - 1/cosh(2r).
+    occupancy: it takes in (n_hot - n_cold) cosh 2r.  Net extracted work
+    is 2 (n_hot - n_cold) sinh^2 r and the efficiency reduces to
+    1 - 1/cosh(2r).
     """
     if cfg.kind is not CycleKind.OTTO:
         raise ValueError(f"run_otto requires kind=otto, got {cfg.kind}")
     n1 = bose_einstein(cfg.tau_cold)
     n2 = bose_einstein(cfg.tau_hot)
-    ledger = _otto_ledger(n1, n2, cfg.r_work)
+    r = np.array([cfg.r_work])
+    with _raising("Otto cycle ledger", "r", r):
+        ledger = _four_strokes(n1, n2, r, r, np.zeros_like(r), (n2 - n1) * np.cosh(2.0 * r))
     return _report(cfg, ledger, lambda u: n1 + u * (n2 - n1))
 
 

@@ -67,7 +67,6 @@ class CovarianceMatrix:
         return bool(is_physical_nm(self.n_cm, self.m_cm, PHYSICALITY_TOL))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the comparisons judge inf and NaN
 def is_physical_nm(n, m, slack: float):
     """Whether (n, m) obey the uncertainty relation, elementwise.
 
@@ -78,15 +77,16 @@ def is_physical_nm(n, m, slack: float):
     overflow while n and m are finite.
     """
     n, m = np.asarray(n, dtype=float), np.asarray(m, dtype=float)
-    square, k = np.frexp(n + 0.5)
-    square *= square
-    m = np.ldexp(m, -k)
-    m *= m
-    k *= -2
-    bound = np.ldexp(0.25 - slack, k)
-    bound -= SQUARE_ROUNDING * square
-    square -= m
-    return (n >= -slack) & (square >= bound)
+    with np.errstate(over="ignore", invalid="ignore"):  # the comparisons judge inf and NaN
+        square, k = np.frexp(n + 0.5)
+        square *= square
+        m = np.ldexp(m, -k)
+        m *= m
+        k *= -2
+        bound = np.ldexp(0.25 - slack, k)
+        bound -= SQUARE_ROUNDING * square
+        square -= m
+        return (n >= -slack) & (square >= bound)
 
 
 def check_temperature(tau: float) -> float:
@@ -150,12 +150,8 @@ def is_p_representable(cm: CovarianceMatrix) -> bool:
 
 
 def classicality(state: SqueezedThermalState) -> float:
-    """Classicality function C(r, n_th) = (n_th + 1/2) e^{-2r} - 1/2.
-
-    Algebraically identical to n_cm - |m_cm| of the state's covariance
-    matrix; C < 0 certifies non-classicality.
-    """
-    return (state.n_th + 0.5) * math.exp(-2.0 * state.r) - 0.5
+    """Classicality function of the state; the one-point :func:`classicality_grid`."""
+    return float(classicality_grid(state.n_th, np.array([state.r]))[0])
 
 
 def libm_exp(x: np.ndarray) -> np.ndarray:
@@ -174,10 +170,11 @@ def libm_exp(x: np.ndarray) -> np.ndarray:
 
 
 def classicality_grid(n_th, r: np.ndarray) -> np.ndarray:
-    """:func:`classicality` over a 1-D array of squeezings, bit for bit.
+    """Classicality C = (n_th + 1/2) e^{-2r} - 1/2 over a 1-D array of squeezings.
 
-    ``n_th`` is one occupancy or a column of them (shape (k, 1)), which
-    gives one row per occupancy.  -2r overflows only where e^{-2r} is 0.
+    Equal to n_cm - |m_cm|; C < 0 certifies non-classicality.  ``n_th`` is
+    one occupancy or a column of them (shape (k, 1)), which gives one row
+    per occupancy.  -2r overflows only where e^{-2r} is 0.
     """
     with np.errstate(over="ignore"):
         decay = libm_exp(-2.0 * r)

@@ -4,9 +4,10 @@ Every sweep writes one CSV data file plus a JSON manifest
 (``<output>.manifest.json``) giving the schema version and echoing the
 spec, the column schema, the tool version, the natural-units convention,
 the row count, and the wall-clock duration with its compute and CSV-write
-phases.  CSV output is deterministic: every number is the text of
-format(x, '.15g') with a '.' decimal separator, every label is written
-as it is, with a header row, and every line ending in '\\n' (LF) in every mode.
+phases.  CSV output is deterministic for one numpy build and SIMD
+dispatch: every number is the text of format(x, '.15g') with a '.'
+decimal separator, every label is written as it is, with a header row,
+and every line ending in '\\n' (LF) in every mode.
 """
 
 from __future__ import annotations
@@ -112,24 +113,16 @@ def build_spec(values: dict) -> SweepSpec:
             return False
         return True
 
-    number("tau_cold", lambda v: v > 0 and math.isfinite(v), "must be a positive number")
-    number("tau_hot", lambda v: v > 0 and math.isfinite(v), "must be a positive number")
-    number("tau_third", lambda v: v > 0 and math.isfinite(v), "must be a positive number")
-    if (
-        isinstance(merged["tau_cold"], (int, float))
-        and isinstance(merged["tau_hot"], (int, float))
-        and merged["tau_hot"] < merged["tau_cold"]
-    ):
+    # Only numbers that passed their own test are ordered: each bad value is named once.
+    taus = [number(key, lambda v: v > 0 and math.isfinite(v), "must be a positive number")
+            for key in ("tau_cold", "tau_hot", "tau_third")]
+    if all(taus[:2]) and merged["tau_hot"] < merged["tau_cold"]:
         problems.append(
             f"tau_hot ({merged['tau_hot']}) must be >= tau_cold ({merged['tau_cold']})"
         )
-    number("r_min", lambda v: v >= 0 and math.isfinite(v), "must be >= 0")
-    number("r_max", lambda v: math.isfinite(v), "must be finite")
-    if (
-        isinstance(merged["r_min"], (int, float))
-        and isinstance(merged["r_max"], (int, float))
-        and not merged["r_min"] < merged["r_max"]
-    ):
+    bounds = [number("r_min", lambda v: v >= 0 and math.isfinite(v), "must be >= 0"),
+              number("r_max", lambda v: math.isfinite(v), "must be finite")]
+    if all(bounds) and not merged["r_min"] < merged["r_max"]:
         problems.append(f"r_min ({merged['r_min']}) must be < r_max ({merged['r_max']})")
     if not isinstance(merged["points"], int) or isinstance(merged["points"], bool) \
             or not 2 <= merged["points"] <= MAX_POINTS:
@@ -174,13 +167,9 @@ def parse_config(text: str) -> SweepSpec:
     return build_spec(load_config(text))
 
 
-def _spec_fields(spec: SweepSpec) -> dict:
-    return {name: getattr(spec, name) for name in _FIELD_NAMES}
-
-
 def serialize_spec(spec: SweepSpec) -> str:
     """JSON document that round-trips through parse_config."""
-    return json.dumps(_spec_fields(spec), indent=2, sort_keys=True)
+    return json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True)
 
 
 def _occupancy_column(taus) -> np.ndarray:
@@ -279,7 +268,7 @@ def run_sweep(spec: SweepSpec) -> str:
         written = time.monotonic()
         manifest = {
             "schema_version": SCHEMA_VERSION,
-            "spec": _spec_fields(spec),
+            "spec": dataclasses.asdict(spec),
             "tool_version": __version__,
             "units_note": UNITS_NOTE,
             "columns": list(COLUMNS[spec.mode]),

@@ -33,9 +33,6 @@ class ThermoPath:
         if len(self.vertices) < 2:
             raise ValueError("a path needs at least two vertices")
 
-    def endpoint_states(self) -> tuple[SqueezedThermalState, SqueezedThermalState]:
-        return self.vertices[0], self.vertices[-1]
-
 
 @dataclass(frozen=True)
 class EnergyDelta:

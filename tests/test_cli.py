@@ -301,10 +301,17 @@ class TestCliMain:
     @pytest.mark.parametrize("key, value, fragment", [
         ("quad_tol", 1e-10, "unknown keys: quad_tol"),  # a field of schema version 1
         ("dt_max", True, "dt_max must be > 0 when given, got True"),
+        # numbers that fail their own test are not ordered; the whole list follows
+        pytest.param(("tau_cold", "tau_hot"), (-1, -2), "spec: tau_cold must be a positive "
+                     "number, got -1; tau_hot must be a positive number, got -2\n",
+                     id="negative-taus"),
+        pytest.param(("r_min", "r_max"), (2, math.nan), "spec: r_max must be finite, got nan\n",
+                     id="nan-r_max"),
     ])
     def test_rejected_config_key_exits_two(self, tmp_path, capsys, key, value, fragment):
+        keys, values = (key, value) if isinstance(key, tuple) else ((key,), (value,))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "relaxation", "t_final": 1.0, key: value,
+        cfg.write_text(json.dumps({"mode": "relaxation", "t_final": 1.0, **dict(zip(keys, values)),
                                    "output_path": str(tmp_path / "x.csv")}))
         assert cli.main(["relaxation", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -763,6 +770,8 @@ class TestCliFuzz:
     (["relaxation", "--r-work", "1e308", "--t-final", "1"], 3),
     # -2r overflows where e^{-2r} is 0: C = -1/2, and a RuntimeWarning before
     (["classicality-curve", "--r-max", "1e308", "--points", "3"], 0),
+    # 2r overflowed in eta_otto = tanh r tanh 2r, which is 1 there
+    (["otto-sweep", "--r-max", "1e308", "--points", "3"], 0),
 ])
 def test_overflow_found_by_fuzzing(tmp_path, capsys, argv, code):
     with warnings.catch_warnings():

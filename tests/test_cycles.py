@@ -25,7 +25,8 @@ from bosonic_engine import (
     run_generalized,
     run_otto,
 )
-from bosonic_engine.cycles import ClassicalityTrace, generalized_ledger, printed_efficiency
+from bosonic_engine.cycles import (ClassicalityTrace, _raising, generalized_ledger,
+                                   printed_efficiency)
 from dispatch import pinned
 from textdiff import assert_equal_text
 
@@ -268,6 +269,9 @@ class TestClosedForm:
         with pytest.raises(FloatingPointError,
                            match="^generalized cycle ledger at r_t up to 400: "):
             run_generalized(gen_cfg(400.0))
+        with pytest.raises(FloatingPointError,
+                           match="^printed terms f and g at r_t up to 100: overflow "):
+            closed_form_terms(gen_cfg(100.0))
 
 
 class TestCarnot:
@@ -316,6 +320,26 @@ ERROR_STATE_CALLS = {
 }
 
 
+class Numpy1Errstate(contextlib.ContextDecorator):
+    """numpy 1.x's errstate, which keeps the state it replaces on the instance."""
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs
+
+    def __enter__(self):
+        self.oldstate = np.seterr(**self.kwargs)
+
+    def __exit__(self, *exc_info):
+        np.seterr(**self.oldstate)
+
+
+@pytest.fixture(params=["numpy", "numpy-1.x"])
+def errstate_kind(request, monkeypatch):
+    """Run a test with the installed errstate and with numpy 1.x's."""
+    if request.param == "numpy-1.x":
+        monkeypatch.setattr(np, "errstate", Numpy1Errstate)
+
+
 class TestErrorState:
     """A call leaves numpy's floating-point error state as it found it.
 
@@ -329,6 +353,24 @@ class TestErrorState:
         before = np.geterr()
         with contextlib.suppress(FloatingPointError):
             ERROR_STATE_CALLS[name]()
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("name", ERROR_STATE_CALLS)
+    def test_call_keeps_the_callers_state(self, errstate_kind, name):
+        with np.errstate(over="warn", divide="ignore"):
+            callers = np.geterr()
+            with contextlib.suppress(FloatingPointError):
+                ERROR_STATE_CALLS[name]()
+            assert np.geterr() == callers
+
+    @pytest.mark.parametrize("name", ERROR_STATE_CALLS)
+    def test_call_inside_raising_restores_the_state(self, errstate_kind, name):
+        before = np.geterr()
+        with _raising("outer quantity", "r", 0.0):
+            raising = np.geterr()
+            with contextlib.suppress(FloatingPointError):
+                ERROR_STATE_CALLS[name]()
+            assert np.geterr() == raising
         assert np.geterr() == before
 
 

@@ -218,7 +218,8 @@ def test_sweep_columns_are_floats_and_labels(mode):
             assert isinstance(column, np.ndarray) and column.dtype == np.float64
 
 
-@pytest.mark.parametrize("r", [1e-9, 1e-5, 1e-3, 0.5, 3.0, 400.0])
+# r is clipped at 20 before the two tanh, which read 1.0 from r = 19.1 on
+@pytest.mark.parametrize("r", [1e-9, 1e-5, 1e-3, 0.5, 3.0, 20.0, 21.0, 400.0, 1e308])
 def test_otto_efficiency_against_mpmath(r):
     want = mp_otto_eta(r)
     assert abs(mp.mpf(otto_efficiency(r)) - want) <= 1e-15 * want

@@ -1,5 +1,6 @@
 """The package's public names and the README's library quick start."""
 
+import ast
 import contextlib
 import io
 import re
@@ -37,6 +38,21 @@ def test_no_module_declares_all():
     # a second list of public names would drift from the package's imports
     for path in Path(bosonic_engine.__file__).parent.glob("*.py"):
         assert not re.search(r"^__all__\b", path.read_text(), re.M), path.name
+
+
+def test_no_module_shares_an_errstate():
+    # numpy 1.x keeps the state an errstate replaces on the instance, so an
+    # instance built once (a decorator or a module-level name) and entered
+    # again before its exit restores the wrong state; each call builds its own
+    for path in Path(bosonic_engine.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        in_bodies = {id(node) for fn in ast.walk(tree)
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for statement in fn.body for node in ast.walk(statement)}
+        shared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "errstate"
+                  and id(node) not in in_bodies]
+        assert not shared, (path.name, shared)
 
 
 def test_readme_quick_start_prints_the_documented_values():

@@ -86,7 +86,7 @@ class TestWorkHeatAlong:
             verts = [(rng.uniform(0.0, 1.2), rng.uniform(0.0, 3.0)) for _ in range(nverts)]
             path = piecewise_linear_path(verts)
             delta = work_heat_along(path)
-            start, end = path.endpoint_states()
+            start, end = path.vertices[0], path.vertices[-1]
             d_e = internal_energy(end) - internal_energy(start)
             scale = max(abs(delta.work_on), abs(delta.heat_in), 1.0)
             assert abs(delta.work_on + delta.heat_in - d_e) <= 2 * EPS * scale
@@ -175,7 +175,7 @@ class TestPathVertices:
     def test_holds_the_vertex_states(self):
         path = piecewise_linear_path([(0, 1), (0.5, 2.0)])
         assert path == ThermoPath((SqueezedThermalState(1.0, 0.0), SqueezedThermalState(2.0, 0.5)))
-        assert path.endpoint_states() == path.vertices
+        assert path.vertices == (SqueezedThermalState(1.0, 0.0), SqueezedThermalState(2.0, 0.5))
 
 
 class TestOverflow:
