@@ -39,8 +39,9 @@ from .states import (
     SqueezedThermalState,
     bose_einstein,
     check_temperature,
+    classicality_grid,
     critical_squeezing,
-    libm_exp,
+    libm,
 )
 
 FIRST_LAW_TOL = 1e-9
@@ -111,9 +112,8 @@ class StrokeRecord:
 
 @dataclass(frozen=True)
 class ClassicalityTrace:
-    """Sampled (r, C) points over the cycle, with stroke label and n_th."""
+    """Sampled (r, n_th, C) points over the cycle, in the rows of TRACE_STROKE_LABELS."""
 
-    stroke: tuple[str, ...]
     r: np.ndarray
     n: np.ndarray
     c: np.ndarray
@@ -183,8 +183,8 @@ def _printed_fg(tau_cold: float, tau_hot: float, r_t: np.ndarray):
     x2 = 1.0 / (2.0 * tau_hot)
     coth1 = 1.0 / math.tanh(x1)
     coth2 = 1.0 / math.tanh(x2)
-    e4 = libm_exp(4.0 * r_t)
-    f = 4.0 * libm_exp(2.0 * r_t) * (coth2 - coth1)
+    e4 = libm(np.exp, 4.0 * r_t)
+    f = 4.0 * libm(np.exp, 2.0 * r_t) * (coth2 - coth1)
     g = (e4 * math.tanh(x1) * coth2**2 - coth1) * (
         e4 - 2.0 * math.log(math.tanh(x1) * coth2)
     )
@@ -298,8 +298,8 @@ def _four_strokes(n_cold: float, n_hot: float, r_t: np.ndarray, r_r: np.ndarray,
     zero = np.zeros_like(r_t)
     n = np.array([n_cold, n_cold, n_hot, n_hot, n_cold])[:, None] + zero
     r = np.array([zero, r_t, r_r, zero, zero])
-    work_on = np.array([2.0 * (n_cold + 0.5) * np.sinh(r_t) ** 2, hot_work,
-                        -2.0 * (n_hot + 0.5) * np.sinh(r_r) ** 2, zero])
+    work_on = np.array([2.0 * (n_cold + 0.5) * libm(np.sinh, r_t) ** 2, hot_work,
+                        -2.0 * (n_hot + 0.5) * libm(np.sinh, r_r) ** 2, zero])
     heat_in = np.array([zero, hot_heat, zero, zero + (n_cold - n_hot)])
     return _book(n, r, work_on, heat_in)
 
@@ -329,8 +329,8 @@ def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
         except OverflowError as exc:
             raise FloatingPointError(f"hot-contact squeezing shift r_R - r_t = {delta:.6g} "
                                      "overflows e^{4(r_R - r_t)}") from exc
-        rise = a * np.exp(2.0 * r_t) * growth
-        shift = a * np.exp(-2.0 * r_t) * delta
+        rise = a * libm(np.exp, 2.0 * r_t) * growth
+        shift = a * libm(np.exp, -2.0 * r_t) * delta
         return _four_strokes(n1, n2, r_t, r_t + delta, rise - shift, rise + shift)
 
 
@@ -356,8 +356,7 @@ def _report(cfg: EngineConfig, ledger: Ledger,
     u = _TRACE_U
     r = np.concatenate([u * r_t, r_t + u * (r_r - r_t), (1.0 - u) * r_r, np.zeros_like(u)])
     n = np.concatenate([np.full_like(u, n1), hot_n(u), np.full_like(u, n2), n2 + u * (n1 - n2)])
-    trace = ClassicalityTrace(stroke=_TRACE_STROKES, r=r, n=n,
-                              c=(n + 0.5) * np.exp(-2.0 * r) - 0.5)
+    trace = ClassicalityTrace(r=r, n=n, c=classicality_grid(n, r))
     states = [SqueezedThermalState(n_th=n, r=r)
               for n, r in zip(ledger.n[:4, 0].tolist(), ledger.r[:4, 0].tolist())]
     strokes = tuple(
@@ -391,7 +390,7 @@ def run_otto(cfg: EngineConfig) -> CycleReport:
     n2 = bose_einstein(cfg.tau_hot)
     r = np.array([cfg.r_work])
     with _raising("Otto cycle ledger", "r", r):
-        ledger = _four_strokes(n1, n2, r, r, np.zeros_like(r), (n2 - n1) * np.cosh(2.0 * r))
+        ledger = _four_strokes(n1, n2, r, r, np.zeros_like(r), (n2 - n1) * libm(np.cosh, 2.0 * r))
     return _report(cfg, ledger, lambda u: n1 + u * (n2 - n1))
 
 
@@ -407,7 +406,7 @@ def run_generalized(cfg: EngineConfig) -> CycleReport:
     ledger = generalized_ledger(cfg.tau_cold, cfg.tau_hot, [cfg.r_work])
     a = float(ledger.n[0, 0]) + 0.5
     delta = float(ledger.r[2, 0]) - cfg.r_work
-    return _report(cfg, ledger, lambda u: a * np.exp(2.0 * u * delta) - 0.5)
+    return _report(cfg, ledger, lambda u: a * libm(np.exp, 2.0 * u * delta) - 0.5)
 
 
 def _state_dict(state: SqueezedThermalState) -> dict:
@@ -440,7 +439,7 @@ def report_to_dict(report: CycleReport) -> dict:
     """JSON-ready dictionary with stable field names."""
     trace = report.classicality_trace
     return _report_dict(report, {
-        "stroke": list(trace.stroke),
+        "stroke": list(_TRACE_STROKES),
         "r": trace.r.tolist(),
         "n": trace.n.tolist(),
         "classicality": trace.c.tolist(),
@@ -461,7 +460,6 @@ def report_to_json(report: CycleReport) -> str:
     """
     trace = report.classicality_trace
     head = json.dumps(_report_dict(report, {}))[:-2]     # without the closing '}}'
-    labels = (_TRACE_STROKES_JSON if trace.stroke is _TRACE_STROKES
-              else json.dumps(list(trace.stroke)))
     r, n, c = json_items([trace.r, trace.n, trace.c])
-    return f'{head}"stroke": {labels}, "r": [{r}], "n": [{n}], "classicality": [{c}]}}}}'
+    return (f'{head}"stroke": {_TRACE_STROKES_JSON}, "r": [{r}], "n": [{n}], '
+            f'"classicality": [{c}]}}}}')

@@ -26,7 +26,7 @@ import numpy as np
 from .csvformat import write_csv
 from .errors import PhysicalityError
 from .states import (SqueezedThermalState, bose_einstein, check_temperature, classicality,
-                     covariance_of, is_physical_nm)
+                     covariance_of, is_physical_nm, libm)
 
 PHYSICALITY_SLACK = 1e-9
 
@@ -156,8 +156,8 @@ def _iterates(s0: MomentState, n_env: float, m_env: float, c_env: float, log_gro
     """
     decay = np.arange(steps + 1, dtype=float)
     decay *= log_growth
-    relaxed = -np.expm1(decay)
-    np.exp(decay, out=decay)
+    relaxed = -libm(np.expm1, decay)
+    decay = libm(np.exp, decay)
 
     def iterate(y0: float, y_env: float) -> np.ndarray:
         y = y0 * decay

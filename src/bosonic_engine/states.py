@@ -154,30 +154,32 @@ def classicality(state: SqueezedThermalState) -> float:
     return float(classicality_grid(state.n_th, np.array([state.r]))[0])
 
 
-def libm_exp(x: np.ndarray) -> np.ndarray:
-    """math.exp of every element of a 1-D array.
+def libm(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc (exp, expm1, cosh or sinh) of a 1-D array with a positive
+    stride, as every fresh array has, bit for bit as math and the C library.
 
-    numpy's SIMD exp differs from math.exp by an ulp for a few percent of
-    arguments.  Array forms of the scalar closed forms use this to give
-    the same bits, where a cancellation after the exponential (C near 0,
-    the printed g near its sign change) would turn one ulp into hundreds.
-    An overflow raises FloatingPointError.
+    numpy runs its SIMD kernels, which on AVX-512 can differ from the C
+    library in the last bit, only where the input and output strides have
+    the same sign; for a reversed input view it runs its per-element
+    C-library loop into a fresh array, which is reversed back.  So a written
+    value has the same bits on every dispatch path, also where a
+    cancellation after the function (C near 0, the printed g near its sign
+    change) would turn one ulp into hundreds.  Overflow follows the
+    caller's np.errstate.
     """
-    try:
-        return np.fromiter(map(math.exp, x.tolist()), float, count=len(x))
-    except OverflowError as exc:
-        raise FloatingPointError(f"exp overflows at {np.max(x):.6g}") from exc
+    return ufunc(x[::-1])[::-1]
 
 
 def classicality_grid(n_th, r: np.ndarray) -> np.ndarray:
     """Classicality C = (n_th + 1/2) e^{-2r} - 1/2 over a 1-D array of squeezings.
 
     Equal to n_cm - |m_cm|; C < 0 certifies non-classicality.  ``n_th`` is
-    one occupancy or a column of them (shape (k, 1)), which gives one row
-    per occupancy.  -2r overflows only where e^{-2r} is 0.
+    one occupancy, an array of r's shape, or a column of them (shape
+    (k, 1)), which gives one row per occupancy.  -2r overflows only where
+    e^{-2r} is 0.
     """
     with np.errstate(over="ignore"):
-        decay = libm_exp(-2.0 * r)
+        decay = libm(np.exp, -2.0 * r)
     return (np.asarray(n_th) + 0.5) * decay - 0.5
 
 

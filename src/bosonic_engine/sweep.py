@@ -4,10 +4,10 @@ Every sweep writes one CSV data file plus a JSON manifest
 (``<output>.manifest.json``) giving the schema version and echoing the
 spec, the column schema, the tool version, the natural-units convention,
 the row count, and the wall-clock duration with its compute and CSV-write
-phases.  CSV output is deterministic for one numpy build and SIMD
-dispatch: every number is the text of format(x, '.15g') with a '.'
-decimal separator, every label is written as it is, with a header row,
-and every line ending in '\\n' (LF) in every mode.
+phases.  CSV output is deterministic for one C library: every number
+is the text of format(x, '.15g') with a '.' decimal separator, every
+label is written as it is, with a header row, and every line ending in
+'\\n' (LF) in every mode.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def parse_config(text: str) -> SweepSpec:
 
 def serialize_spec(spec: SweepSpec) -> str:
     """JSON document that round-trips through parse_config."""
-    return json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True)
+    return json.dumps(vars(spec), indent=2, sort_keys=True)
 
 
 def _occupancy_column(taus) -> np.ndarray:
@@ -268,7 +268,7 @@ def run_sweep(spec: SweepSpec) -> str:
         written = time.monotonic()
         manifest = {
             "schema_version": SCHEMA_VERSION,
-            "spec": dataclasses.asdict(spec),
+            "spec": vars(spec),
             "tool_version": __version__,
             "units_note": UNITS_NOTE,
             "columns": list(COLUMNS[spec.mode]),

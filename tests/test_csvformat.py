@@ -17,7 +17,6 @@ from bosonic_engine import cli
 from bosonic_engine.csvformat import (CSV_BLOCK_ROWS, Labels, _csv_digits, _decimal_digits,
                                       _digit_groups, _round_off, json_items, write_csv)
 from bosonic_engine.states import bose_einstein
-from dispatch import pinned
 from textdiff import assert_equal_text, assert_equal_texts
 
 
@@ -306,10 +305,9 @@ class TestJsonItems:
 
 
 # SHA-256 of the CSVs of the README examples and of each mode's default
-# spec, as the '%.15g' row template wrote them.  A number computed through
-# numpy's exp, expm1, cosh or sinh can differ in its last printed digit
-# between paths of numpy's dispatch (tests/dispatch.py); the digests that
-# differ are pinned per path.
+# spec, as the '%.15g' row template wrote them.  Every exponential behind
+# them is the C library's (states.libm), so each holds on every path of
+# numpy's CPU dispatch.
 GOLDEN = {
     "default-classicality-curve": (
         ["classicality-curve"],
@@ -319,8 +317,7 @@ GOLDEN = {
         "1586fafcae0fbc8acc76307ccfafc99a1a72c610f6028ccf965d202321dc1b73"),
     "default-generalized-sweep": (
         ["generalized-sweep"],
-        {"avx512": "c56c367ea9e033ab66c821e96f6248ef74ef53df2a062d6d984ffd3c3b804b55",
-         "libm": "5690e5359f21b805b243339c9fcc2fedde7723d57fcb57af612164274fe2459f"}),
+        "5690e5359f21b805b243339c9fcc2fedde7723d57fcb57af612164274fe2459f"),
     "default-cycle-trace": (
         ["cycle-trace"],
         "45c3f0a1ccfc526c694fe730794bb1584a94de6a3e5d22665cc63a7f1a99ecce"),
@@ -332,15 +329,13 @@ GOLDEN = {
         "25d6d29f377f506b7f19ccd709235bcc82a121930627035c52a58d57bc111e26"),
     "readme-generalized-sweep": (
         ["generalized-sweep", "--points", "201"],
-        {"avx512": "c56c367ea9e033ab66c821e96f6248ef74ef53df2a062d6d984ffd3c3b804b55",
-         "libm": "5690e5359f21b805b243339c9fcc2fedde7723d57fcb57af612164274fe2459f"}),
+        "5690e5359f21b805b243339c9fcc2fedde7723d57fcb57af612164274fe2459f"),
     "readme-classicality-curve": (
         ["classicality-curve", "--tau-cold", "1", "--tau-hot", "2", "--tau-third", "3"],
         "80818ecfdebc28786d48de83dd0e92c537fcaab73d060c19415c6c7a5e5207af"),
     "readme-cycle-trace": (
         ["cycle-trace", "--kind", "generalized", "--r-work", "0.5"],
-        {"avx512": "5e14ea76756fd7b8b6a92725797b946a3adc98c9702710a33c91a6123925027e",
-         "libm": "5889c8455787b6299f3111ff1861e19af2c9961a0a861562a97880b40ef7d18a"}),
+        "5889c8455787b6299f3111ff1861e19af2c9961a0a861562a97880b40ef7d18a"),
     "readme-phase-diagram": (
         ["phase-diagram", "--r-max", "1.2"],
         "c95727ba53804ca6120bcb2a8c6c1df0f63f7eb7c9edf1faa1e5ab7994f063d5"),
@@ -351,13 +346,10 @@ GOLDEN = {
 
 # The README relaxation example: digest of its CSV without the
 # classicality column, which is computed without cancellation now and
-# is checked against mpmath instead; per path of numpy's dispatch.
+# is checked against mpmath instead.
 RELAXATION_ARGV = ["relaxation", "--tau-cold", "1", "--tau-hot", "2", "--r-work", "0.3",
                    "--gamma", "1", "--t-final", "20"]
-RELAXATION_OTHER_COLUMNS = {
-    "avx512": "f07b7088ed3717010565a1820481a07c8442eb9057fb249e25fd2e4dd9c13d72",
-    "libm": "3fd7a460114f73f1ea9faa9de75cb40502c1c87c47c202497b3995eb27ef8fe8",
-}
+RELAXATION_OTHER_COLUMNS = "3fd7a460114f73f1ea9faa9de75cb40502c1c87c47c202497b3995eb27ef8fe8"
 
 
 def run_cli(argv, path) -> bytes:
@@ -369,14 +361,14 @@ def run_cli(argv, path) -> bytes:
 @pytest.mark.parametrize("name", GOLDEN)
 def test_golden_csv_digest(tmp_path, name):
     argv, digest = GOLDEN[name]
-    assert hashlib.sha256(run_cli(argv, tmp_path / "out.csv")).hexdigest() == pinned(digest)
+    assert hashlib.sha256(run_cli(argv, tmp_path / "out.csv")).hexdigest() == digest
 
 
 def test_readme_relaxation_example(tmp_path):
     lines = run_cli(RELAXATION_ARGV, tmp_path / "relax.csv").decode().splitlines()
     cells = [line.split(",") for line in lines]
     others = "".join(",".join(row[:3] + row[4:]) + "\n" for row in cells)
-    assert hashlib.sha256(others.encode()).hexdigest() == pinned(RELAXATION_OTHER_COLUMNS)
+    assert hashlib.sha256(others.encode()).hexdigest() == RELAXATION_OTHER_COLUMNS
 
     # C_k = n_0 R^k + C_env (1 - R^k) for m_0 = 0, at 40 digits, every 97th row
     n0, n_th, steps = bose_einstein(1.0), bose_einstein(2.0), 20_000

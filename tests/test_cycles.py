@@ -25,9 +25,8 @@ from bosonic_engine import (
     run_generalized,
     run_otto,
 )
-from bosonic_engine.cycles import (ClassicalityTrace, _raising, generalized_ledger,
-                                   printed_efficiency)
-from dispatch import pinned
+from bosonic_engine.cycles import (STROKES, TRACE_STROKE_LABELS, ClassicalityTrace, _raising,
+                                   generalized_ledger, printed_efficiency)
 from textdiff import assert_equal_text
 
 N1 = bose_einstein(1.0)
@@ -85,7 +84,7 @@ class TestRunOtto:
         trace = report.classicality_trace
         i = int(np.argmin(trace.c))
         # end of the first stroke: full squeezing at the cold occupancy
-        assert trace.stroke[i] == "squeeze"
+        assert STROKES[TRACE_STROKE_LABELS.codes[i]] == "squeeze"
         assert trace.r[i] == pytest.approx(0.5, abs=1e-12)
         assert trace.n[i] == pytest.approx(N1, abs=1e-12)
         assert trace.c[i] == pytest.approx(
@@ -187,7 +186,7 @@ class TestRunGeneralized:
         c = (n + 0.5) * np.exp(-2 * r) - 0.5
         assert np.max(np.abs(c - c0)) < 1e-10
         trace = run_generalized(cfg).classicality_trace
-        hot = np.array([lbl == "hot-contact" for lbl in trace.stroke])
+        hot = TRACE_STROKE_LABELS.codes == STROKES.index("hot-contact")
         assert np.max(np.abs(trace.c[hot] - c0)) < 1e-10
 
     def test_cycle_closure_random_r(self):
@@ -427,36 +426,29 @@ class TestReportJsonText:
         values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-310, 1e-300,
                            1e-5, 1e-4, 1e15, 1e16, 1e300, 1.7976931348623157e308, -2.5, 0.1])
         report = run_generalized(gen_cfg(0.4))
-        trace = ClassicalityTrace(stroke=("squeeze",) * values.size, r=values, n=values[::-1],
-                                  c=-values)
+        trace = ClassicalityTrace(r=values, n=values[::-1], c=-values)
         report = dataclasses.replace(report, classicality_trace=trace)
         assert_equal_text(report_to_json(report),
                           json.dumps(report_to_dict(report), indent=indent))
 
     @pytest.mark.parametrize("indent", [None])
-    def test_custom_labels_and_empty_lists(self, indent):
-        report = run_otto(otto_cfg(0.5))
-        trace = ClassicalityTrace(stroke=("null", 'a, "b"', "null"), r=np.array([]),
-                                  n=np.array([1.0, 0.5]), c=np.array([]))
-        for t in (trace, dataclasses.replace(trace, stroke=())):
-            report = dataclasses.replace(report, classicality_trace=t)
-            assert_equal_text(report_to_json(report),
-                              json.dumps(report_to_dict(report), indent=indent))
+    def test_empty_lists(self, indent):
+        trace = ClassicalityTrace(r=np.array([]), n=np.array([1.0, 0.5]), c=np.array([]))
+        report = dataclasses.replace(run_otto(otto_cfg(0.5)), classicality_trace=trace)
+        assert_equal_text(report_to_json(report),
+                          json.dumps(report_to_dict(report), indent=indent))
 
     # SHA-256 of two reports (schema version 2) as json.dumps(report_to_dict(report))
-    # wrote them, the second with indent 2, per path of numpy's dispatch
-    # (tests/dispatch.py): the trace's classicality goes through numpy's exp.
+    # wrote them, the second with indent 2.
     @pytest.mark.parametrize("cfg, indent, digest", [
         (otto_cfg(0.5), None,
-         {"avx512": "db4ddf4879e2aab7a1be1805685f5a298fd6ab617953908779c6c222a1c85487",
-          "libm": "ac8ca13ad46c004eb462efae75fe5e08cd35684684847d152d881b6f71dd916e"}),
+         "ac8ca13ad46c004eb462efae75fe5e08cd35684684847d152d881b6f71dd916e"),
         (gen_cfg(1.25, tau_cold=0.3, tau_hot=5.0), 2,
-         {"avx512": "80b716e0a23e5fd07ad04a875053ff25aa1aacc2dec98ceeea16e9dc8abb5921",
-          "libm": "9e7b57282269b0ea1e9bc9202d6955edd914fe5ce1028b5d0bccb131011d1c87"}),
+         "9e7b57282269b0ea1e9bc9202d6955edd914fe5ce1028b5d0bccb131011d1c87"),
     ], ids=["otto-indent-none", "generalized-indent-2"])
     def test_pinned_digests(self, cfg, indent, digest):
         run = run_otto if cfg.kind is CycleKind.OTTO else run_generalized
         report = run(cfg)
         text = (report_to_json(report) if indent is None
                 else json.dumps(report_to_dict(report), indent=indent))
-        assert hashlib.sha256(text.encode()).hexdigest() == pinned(digest)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -15,8 +15,9 @@ from bosonic_engine import (
     is_p_representable,
     tau_of_occupancy,
 )
+from bosonic_engine.cycles import _raising
 from bosonic_engine.dynamics import MomentState
-from bosonic_engine.states import SQUARE_ROUNDING, is_physical_nm
+from bosonic_engine.states import SQUARE_ROUNDING, is_physical_nm, libm
 
 # Frozen from direct evaluation of 1/(e^{1/tau} - 1).
 N_TAU1 = 0.5819767068693265
@@ -237,3 +238,41 @@ class TestPhysicalityPredicateScaling:
         assert is_physical_nm(w * cm.n_cm, w * cm.m_cm, 1e-9).all()
         assert not is_physical_nm(cm.n_cm, cm.m_cm * (1.0 + 8 * EPS), 1e-9)
         assert not is_physical_nm(np.inf, np.inf, 1e-9)
+
+
+class TestLibm:
+    """libm(f, x) is math's f, bit for bit, so no written digit depends on
+    numpy's CPU dispatch.  Where numpy vectorizes reversed views, these
+    tests fail and name the function."""
+
+    FUNCTIONS = ("exp", "expm1", "cosh", "sinh")
+    # 20001 arguments in [-10, 10]
+    PROBE = np.linspace(-10.0, 10.0, 20001)
+    # +-0, NaN, subnormal arguments, and (for exp and expm1) results that underflow
+    EDGES = np.array([0.0, -0.0, math.nan, 5e-324, -1e-310])
+    UNDERFLOWING = np.array([-740.0, -746.0, -800.0])
+
+    @staticmethod
+    def assert_bits_of_math(name, x):
+        got = libm(getattr(np, name), x)
+        want = np.array([getattr(math, name)(v) for v in x.tolist()])
+        differ = np.count_nonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ == 0, f"{differ} of {x.size} arguments differ from math.{name}"
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_probe(self, name):
+        self.assert_bits_of_math(name, self.PROBE)
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_lengths_strides_and_edges(self, name):
+        for x in (self.PROBE[:0], self.PROBE[:1], self.PROBE[5:7], self.PROBE[::7], self.EDGES):
+            self.assert_bits_of_math(name, x)
+        if name in ("exp", "expm1"):
+            self.assert_bits_of_math(name, self.UNDERFLOWING)
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_overflow_names_the_quantity(self, name):
+        x = np.array([1.0, 800.0])
+        with pytest.raises(FloatingPointError, match=f"test quantity at r up to 800: .*{name}"):
+            with _raising("test quantity", "r", x):
+                libm(getattr(np, name), x)
