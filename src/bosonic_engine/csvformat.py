@@ -24,14 +24,18 @@ but format all cells of a block at once:
   power of two, whose read-back interval is lopsided.  Zero is '0' or
   '0.0'.
 * Every cell is a row of 4-byte words: the separator that precedes the
-  cell and '-0.', then '000', then the 3-digit groups of the digits, each
-  from a table that can place the decimal point inside the group.  A
-  drop-mask that depends only on the sign, e and the number of significant
-  digits sets every byte that is not part of the text to 0xFF, which UTF-8
-  text never contains, and one bytes.translate deletes them from the block.
+  cell, '-0.' and '000' in two words (CSV ',-0.', '000' and a spare byte;
+  JSON ', -0', '.000'), then the 3-digit groups of the digits, each from a
+  table that can place the decimal point inside the group.  A drop-mask
+  that depends only on the sign, e and the number of significant digits
+  sets every byte that is not part of the text to 0xFF, which UTF-8 text
+  never contains, and one bytes.translate deletes them from the block.
 * Python formats the other numbers ('%.15g': one '%-27.15g' template;
   JSON: json.dumps of the one float, so NaN and Infinity match); their
   texts fill their cells behind the separator.
+* JSON arrays repeat values in runs (a trace holds n or r constant along
+  whole strokes), so json_items formats the first value of each run of
+  equal bits, and of each array, and copies its cell along the run.
 * A CSV text column is :class:`Labels`, a code per row into its names.
   Its cells are one take from a table of the separator, each name's UTF-8
   bytes and 0xFF padding, as wide as the longest name needs; only the
@@ -78,7 +82,6 @@ _NEAR = 2.0 ** -40       # relative margin of the read-back test
 _CSV_GROUPS = 5
 _JSON_GROUPS = 6
 _CSV_WORDS = 2 + _CSV_GROUPS
-_CONSTANT_WORDS = np.frombuffer(b",-0.000\xff", np.uint32)     # separator, '-0.', '000'
 _SPACE_TO_DROP = bytes.maketrans(b" ", b"\xff")
 
 
@@ -127,18 +130,20 @@ def _row_base(groups: int) -> np.ndarray:
 def _drop_masks(groups: int) -> np.ndarray:
     """Drop-mask rows of a cell of 2 + groups words: 0xFF where a byte is dropped.
 
-    The separator ',' and the bytes of '-0.' and '000' are set where kept.
+    The separator (',' in CSV, ', ' in JSON) and the bytes of '-0.' and
+    '000' are set where kept.
     """
     json_style = groups == _JSON_GROUPS             # repr: a digit always follows the point
+    sep = 2 if json_style else 1                    # the separator's width
     words = 2 + groups
     rows = bytearray()
     for e in range(-4, 15):
         for nsig in range(1, 3 * groups + 1):
             last = max(e, nsig - 1, e + 1 if json_style else 0)  # the last digit printed
             point = 0 <= e < last                   # digits follow the point
-            keep = [0]                              # the separator
+            keep = list(range(sep))                 # the separator
             if e < 0:                               # '0.' and -e - 1 zeros
-                keep += range(2, 3 - e)
+                keep += range(sep + 1, sep + 2 - e)
             for i in range(last + 1):
                 keep.append(8 + 4 * (i // 3) + i % 3 + (point and i // 3 == e // 3 and i > e))
             if point:
@@ -147,13 +152,13 @@ def _drop_masks(groups: int) -> np.ndarray:
             for byte in keep:
                 row[byte] = 0
             rows += row
-    zero = b"\0\xff\0\0\0" if json_style else b"\0\xff\0"            # '0.0' or '0'
+    zero = b"\0" * sep + (b"\xff\0\0\0" if json_style else b"\xff\0")   # '0.0' or '0'
     rows += zero + b"\xff" * (4 * words - len(zero))
     masks = np.frombuffer(bytes(rows), np.uint8).reshape(-1, 4 * words)
     negative = masks.copy()
-    negative[:, 1] = 0                                  # the sign
+    negative[:, sep] = 0                                # the sign
     masks = np.concatenate([masks[:-1], negative[:-1], masks[-1:], negative[-1:]]).view(np.uint32)
-    masks[:, :2] |= _CONSTANT_WORDS
+    masks[:, :2] |= np.frombuffer(b", -0.000" if json_style else b",-0.000\xff", np.uint32)
     return masks
 
 
@@ -181,10 +186,10 @@ def _label_cells(names: tuple[str, ...]) -> np.ndarray:
     return np.frombuffer(cells, np.uint32).reshape(len(names), width)
 
 
-def _fill(cell_bytes: np.ndarray, where: np.ndarray, padded: str) -> None:
-    """Put texts, space-padded to one cell each, behind the separators of cell_bytes[where]."""
+def _fill(cell_bytes: np.ndarray, where: np.ndarray, sep: int, padded: str) -> None:
+    """Put texts, space-padded to one cell each, behind the sep bytes of cell_bytes[where]."""
     text = padded.encode().translate(_SPACE_TO_DROP)
-    cell_bytes[where, 1:] = np.frombuffer(text, np.uint8).reshape(-1, cell_bytes.shape[1] - 1)
+    cell_bytes[where, sep:] = np.frombuffer(text, np.uint8).reshape(-1, cell_bytes.shape[1] - sep)
 
 
 def _scaled(x: np.ndarray, digits: int):
@@ -339,7 +344,7 @@ def _format_block(columns: list[np.ndarray | Labels]) -> bytes:
     del d, ei
     slow = np.flatnonzero(~fast)
     if slow.size:  # '%-27.15g' pads the text of '%.15g' with spaces to the 27 bytes of a cell
-        _fill(cells.view(np.uint8), slow, "%-27.15g" * slow.size % tuple(x[slow].tolist()))
+        _fill(cells.view(np.uint8), slow, 1, "%-27.15g" * slow.size % tuple(x[slow].tolist()))
     del x
     if len(numbers) < len(columns):              # the cells of each column in turn
         number_cells = iter(cells.reshape(rows, -1, _CSV_WORDS).swapaxes(0, 1))
@@ -393,21 +398,27 @@ def json_items(arrays: list[np.ndarray]) -> list[str]:
 
     Each text is the one json.dumps writes between the brackets of
     list(array): float.__repr__ of each value as a float64, or NaN,
-    Infinity or -Infinity.
+    Infinity or -Infinity.  Each run of equal bits is formatted once.
     """
     sizes = [len(a) for a in arrays]
     x = np.concatenate(arrays, dtype=np.float64)
-    d, ei, fast = _shortest_digits(x)
-    cells = _number_cells(x, d, ei, fast, _JSON_GROUPS)
+    ends = np.cumsum(sizes)
+    starts = (ends - sizes)[np.array(sizes) > 0]   # each array's first item
+    bits = x.view(np.int64)           # bits, not ==: 0.0 and -0.0 differ, NaN != NaN
+    new = np.ones(x.size, bool)       # where a run of equal values starts
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    new[starts] = True
+    heads = x[new]
+    d, ei, fast = _shortest_digits(heads)
+    cells = _number_cells(heads, d, ei, fast, _JSON_GROUPS)
     del d, ei
-    cell_bytes = cells.view(np.uint8)
-    starts = np.cumsum(sizes) - sizes
-    cell_bytes[starts[np.array(sizes) > 0], 0] = ord("\n")    # each array's first item
-
     slow = np.flatnonzero(~fast)
     if slow.size:
-        width = cell_bytes.shape[1] - 1
-        _fill(cell_bytes, slow, "".join(json.dumps(v).ljust(width) for v in x[slow].tolist()))
-    text = cells.tobytes().translate(None, b"\xff").replace(b",", b", ")
-    texts = iter(text.decode().split("\n")[1:])
-    return [next(texts) if size else "" for size in sizes]
+        width = 4 * cells.shape[1] - 2
+        _fill(cells.view(np.uint8), slow, 2,
+              "".join(json.dumps(v).ljust(width) for v in heads[slow].tolist()))
+    if heads.size < x.size:
+        cells = cells.take(np.cumsum(new) - 1, axis=0)
+    cells.view(np.uint8)[starts, :2] = 0xFF     # no ', ' before an array's first item
+    return [cells[end - size:end].tobytes().translate(None, b"\xff").decode()
+            for size, end in zip(sizes, ends.tolist())]

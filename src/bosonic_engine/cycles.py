@@ -455,8 +455,10 @@ def report_to_json(report: CycleReport) -> str:
 
     The report is dumped with an empty trace, which comes last, and the
     trace lists follow the opening brace of the trace.  csvformat.json_items
-    formats their numbers an array at a time, with no Python float per
-    value.  Indented text is json.dumps(report_to_dict(report), indent=...).
+    formats their numbers, separators included, with no Python float per
+    value, and formats each run of equal values (n and r along a stroke
+    that keeps them) once.  Indented text is
+    json.dumps(report_to_dict(report), indent=...).
     """
     trace = report.classicality_trace
     head = json.dumps(_report_dict(report, {}))[:-2]     # without the closing '}}'

@@ -155,19 +155,21 @@ def classicality(state: SqueezedThermalState) -> float:
 
 
 def libm(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc (exp, expm1, cosh or sinh) of a 1-D array with a positive
-    stride, as every fresh array has, bit for bit as math and the C library.
+    """ufunc (exp, expm1, cosh or sinh) of a 1-D array, bit for bit as math
+    and the C library.
 
     numpy runs its SIMD kernels, which on AVX-512 can differ from the C
     library in the last bit, only where the input and output strides have
-    the same sign; for a reversed input view it runs its per-element
-    C-library loop into a fresh array, which is reversed back.  So a written
-    value has the same bits on every dispatch path, also where a
-    cancellation after the function (C near 0, the printed g near its sign
-    change) would turn one ulp into hundreds.  Overflow follows the
-    caller's np.errstate.
+    the same sign; for a reversed view of a contiguous input it runs its
+    per-element C-library loop into a fresh array, which is reversed back.
+    A strided or reversed x is made contiguous first (a fresh array, as
+    array arithmetic returns, is not copied), since the reverse of a
+    negative stride is positive.  So a written value has the same bits on
+    every dispatch path, also where a cancellation after the function (C
+    near 0, the printed g near its sign change) would turn one ulp into
+    hundreds.  Overflow follows the caller's np.errstate.
     """
-    return ufunc(x[::-1])[::-1]
+    return ufunc(np.ascontiguousarray(x)[::-1])[::-1]
 
 
 def classicality_grid(n_th, r: np.ndarray) -> np.ndarray:

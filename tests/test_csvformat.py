@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonic_engine import cli
+from bosonic_engine import cli, csvformat
 from bosonic_engine.csvformat import (CSV_BLOCK_ROWS, Labels, _csv_digits, _decimal_digits,
-                                      _digit_groups, _round_off, json_items, write_csv)
+                                      _digit_groups, _round_off, _shortest_digits, json_items,
+                                      write_csv)
 from bosonic_engine.states import bose_einstein
 from textdiff import assert_equal_text, assert_equal_texts
 
@@ -302,6 +303,46 @@ class TestJsonItems:
                     | st.sampled_from(JSON_EDGES.tolist()), max_size=64))
     def test_arbitrary_floats(self, values):
         assert_equal_texts(json_items([np.array(values, dtype=float)]), [json.dumps(values)[1:-1]])
+
+
+def assert_same_json_arrays(arrays):
+    assert_equal_texts(json_items(arrays), [json.dumps(a.tolist())[1:-1] for a in arrays])
+
+
+# Values whose runs must stay apart although some print alike or compare
+# equal: +-0, NaN of both signs, +-inf, subnormals, and neighbours of 0.1.
+RUN_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-310,
+            0.1, 0.10000000000000002, 2.5, -1e300]
+
+
+class TestJsonRuns:
+    """json_items formats each run of equal bits once and copies its cell."""
+
+    def test_runs_across_arrays(self):
+        assert_same_json_arrays([
+            np.full(700, 0.1), np.array([0.0, -0.0, -0.0, 0.0, 0.0]), np.array([]),
+            np.full(5, math.nan), np.array([]), np.array([]), np.full(4, math.nan),
+            np.repeat([math.inf, -math.inf, math.inf], 3), np.full(4, 5e-324),
+            np.full(3, 5e-324), np.full(2, -1e-310), np.array([])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(RUN_POOL), st.integers(1, 40)),
+                             max_size=6), min_size=1, max_size=6))
+    def test_arrays_of_runs_from_a_small_pool(self, runs):
+        assert_same_json_arrays([np.repeat(*zip(*array)) if array else np.array([])
+                                 for array in runs])
+
+    def test_each_run_is_formatted_once(self, monkeypatch):
+        sizes = []
+
+        def recording(x):
+            sizes.append(x.size)
+            return _shortest_digits(x)
+
+        monkeypatch.setattr(csvformat, "_shortest_digits", recording)
+        assert json_items([np.full(1000, 0.1), np.full(5, 0.1)]) == [
+            ", ".join(["0.1"] * 1000), ", ".join(["0.1"] * 5)]
+        assert sizes == [2]
 
 
 # SHA-256 of the CSVs of the README examples and of each mode's default

@@ -438,6 +438,11 @@ class TestReportJsonText:
         assert_equal_text(report_to_json(report),
                           json.dumps(report_to_dict(report), indent=indent))
 
+    def test_otto_without_squeezing(self):
+        report = run_otto(otto_cfg(0.0))           # every r is 0: one run of 1024
+        assert not report.classicality_trace.r.any()
+        assert_equal_text(report_to_json(report), json.dumps(report_to_dict(report)))
+
     # SHA-256 of two reports (schema version 2) as json.dumps(report_to_dict(report))
     # wrote them, the second with indent 2.
     @pytest.mark.parametrize("cfg, indent, digest", [

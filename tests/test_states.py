@@ -265,7 +265,8 @@ class TestLibm:
 
     @pytest.mark.parametrize("name", FUNCTIONS)
     def test_lengths_strides_and_edges(self, name):
-        for x in (self.PROBE[:0], self.PROBE[:1], self.PROBE[5:7], self.PROBE[::7], self.EDGES):
+        for x in (self.PROBE[:0], self.PROBE[:1], self.PROBE[5:7], self.PROBE[::7],
+                  self.PROBE[::-3], self.EDGES):
             self.assert_bits_of_math(name, x)
         if name in ("exp", "expm1"):
             self.assert_bits_of_math(name, self.UNDERFLOWING)
