@@ -53,4 +53,4 @@ from .cycles import (
     run_generalized,
     run_otto,
 )
-from .sweep import SweepSpec, UsageError, parse_config, run_sweep, serialize_spec
+from .sweep import SweepSpec, UsageError, parse_config, run_sweep

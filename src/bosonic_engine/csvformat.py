@@ -400,6 +400,8 @@ def json_items(arrays: list[np.ndarray]) -> list[str]:
     list(array): float.__repr__ of each value as a float64, or NaN,
     Infinity or -Infinity.  Each run of equal bits is formatted once.
     """
+    if not arrays:
+        return []
     sizes = [len(a) for a in arrays]
     x = np.concatenate(arrays, dtype=np.float64)
     ends = np.cumsum(sizes)

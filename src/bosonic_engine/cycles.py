@@ -36,9 +36,8 @@ from .csvformat import Labels, json_items
 from .errors import CycleConsistencyError
 from .states import (
     BOUNDARY_TOL,
+    Baths,
     SqueezedThermalState,
-    bose_einstein,
-    check_temperature,
     classicality_grid,
     critical_squeezing,
     libm,
@@ -80,7 +79,7 @@ class EngineConfig:
 
     r_work is the Otto modulation amplitude r, or the first-stroke target
     r_t of the generalized cycle.  tau_hot = tau_cold is allowed and gives
-    a degenerate (zero-heat) cycle.
+    a degenerate (zero-heat) cycle; ``baths`` (not a field) checks and converts them.
     """
 
     tau_cold: float
@@ -89,12 +88,7 @@ class EngineConfig:
     kind: CycleKind = CycleKind.OTTO
 
     def __post_init__(self):
-        check_temperature(self.tau_cold)
-        check_temperature(self.tau_hot)
-        if self.tau_hot < self.tau_cold:
-            raise ValueError(
-                f"tau_hot ({self.tau_hot}) must be >= tau_cold ({self.tau_cold})"
-            )
+        object.__setattr__(self, "baths", Baths(self.tau_cold, self.tau_hot))
         if not (self.r_work >= 0.0):
             raise ValueError(f"r_work must be >= 0, got {self.r_work}")
 
@@ -166,16 +160,12 @@ def otto_efficiency(r):
 
 def carnot_efficiency(cfg: EngineConfig) -> float:
     """Classical Carnot benchmark 1 - tau_cold/tau_hot."""
-    return 1.0 - cfg.tau_cold / cfg.tau_hot
+    return cfg.baths.carnot
 
 
 def generalized_r_hot(cfg: EngineConfig) -> float:
-    """Hot-bath squeezing r_R that keeps classicality constant.
-
-    r_R = r_t + (1/2) ln((n_hot + 1/2)/(n_cold + 1/2)); equal temperatures
-    give r_R = r_t.
-    """
-    return float(generalized_ledger(cfg.tau_cold, cfg.tau_hot, cfg.r_work).r[2, 0])
+    """Hot-bath squeezing r_R = r_t + cfg.baths.shift that keeps classicality constant."""
+    return float(generalized_ledger(cfg.baths, cfg.r_work).r[2, 0])
 
 
 def _printed_fg(tau_cold: float, tau_hot: float, r_t: np.ndarray):
@@ -224,10 +214,7 @@ def printed_efficiency(tau_cold: float, tau_hot: float, r_t: np.ndarray) -> np.n
 
 
 def generalized_efficiency_closed_form(cfg: EngineConfig) -> float:
-    """Verbatim 1 - f/g of the printed closed form (see closed_form_terms).
-
-    Returns 1 when f = 0 (equal temperatures).  Not the ledger efficiency.
-    """
+    """The one-point :func:`printed_efficiency` at r_work; not the ledger efficiency."""
     return float(printed_efficiency(cfg.tau_cold, cfg.tau_hot, np.array([cfg.r_work]))[0])
 
 
@@ -304,10 +291,10 @@ def _four_strokes(n_cold: float, n_hot: float, r_t: np.ndarray, r_r: np.ndarray,
     return _book(n, r, work_on, heat_in)
 
 
-def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
+def generalized_ledger(baths: Baths, r_t) -> Ledger:
     """Constant-classicality cycle ledger at every first-stroke squeezing in r_t.
 
-    With a = n_cold + 1/2 and delta = r_R - r_t = (1/2) ln(b/a), the
+    With a = n_cold + 1/2 and delta = r_R - r_t = ``baths.shift``, the
     hot-contact stroke (n + 1/2 = a e^{2(r - r_t)}) has the exact integrals
 
         W_on = a [e^{2 r_t} expm1(4 delta)/4 - e^{-2 r_t} delta]
@@ -317,12 +304,10 @@ def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
     of the Otto cycle.  Raises FloatingPointError on overflow.
     """
     r_t = np.array(r_t, dtype=float, ndmin=1)
-    if not (tau_hot >= tau_cold and (r_t >= 0.0).all()):
-        raise ValueError("generalized_ledger needs tau_hot >= tau_cold and every r_t >= 0")
-    n1 = bose_einstein(tau_cold)
-    n2 = bose_einstein(tau_hot)
-    a = n1 + 0.5
-    delta = 0.5 * math.log((n2 + 0.5) / a)
+    if not (r_t >= 0.0).all():
+        raise ValueError("generalized_ledger needs every r_t >= 0")
+    n_cold, n_hot, delta = baths.n_cold, baths.n_hot, baths.shift
+    a = n_cold + 0.5
     with _raising("generalized cycle ledger", "r_t", r_t):
         try:
             growth = math.expm1(4.0 * delta) / 4.0
@@ -331,7 +316,7 @@ def generalized_ledger(tau_cold: float, tau_hot: float, r_t) -> Ledger:
                                      "overflows e^{4(r_R - r_t)}") from exc
         rise = a * libm(np.exp, 2.0 * r_t) * growth
         shift = a * libm(np.exp, -2.0 * r_t) * delta
-        return _four_strokes(n1, n2, r_t, r_t + delta, rise - shift, rise + shift)
+        return _four_strokes(n_cold, n_hot, r_t, r_t + delta, rise - shift, rise + shift)
 
 
 _TRACE_U = np.linspace(0.0, 1.0, TRACE_POINTS_PER_STROKE)
@@ -386,8 +371,7 @@ def run_otto(cfg: EngineConfig) -> CycleReport:
     """
     if cfg.kind is not CycleKind.OTTO:
         raise ValueError(f"run_otto requires kind=otto, got {cfg.kind}")
-    n1 = bose_einstein(cfg.tau_cold)
-    n2 = bose_einstein(cfg.tau_hot)
+    n1, n2 = cfg.baths.n_cold, cfg.baths.n_hot
     r = np.array([cfg.r_work])
     with _raising("Otto cycle ledger", "r", r):
         ledger = _four_strokes(n1, n2, r, r, np.zeros_like(r), (n2 - n1) * libm(np.cosh, 2.0 * r))
@@ -403,9 +387,8 @@ def run_generalized(cfg: EngineConfig) -> CycleReport:
     """
     if cfg.kind is not CycleKind.GENERALIZED:
         raise ValueError(f"run_generalized requires kind=generalized, got {cfg.kind}")
-    ledger = generalized_ledger(cfg.tau_cold, cfg.tau_hot, [cfg.r_work])
-    a = float(ledger.n[0, 0]) + 0.5
-    delta = float(ledger.r[2, 0]) - cfg.r_work
+    ledger = generalized_ledger(cfg.baths, [cfg.r_work])
+    a, delta = cfg.baths.n_cold + 0.5, float(ledger.r[2, 0]) - cfg.r_work
     return _report(cfg, ledger, lambda u: a * libm(np.exp, 2.0 * u * delta) - 0.5)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,26 @@ def bose_einstein(tau: float) -> float:
         return 1.0 / math.expm1(x)
     except OverflowError:
         return math.exp(-x)
+
+
+@dataclass(frozen=True)
+class Baths:
+    """The engine's bath temperatures, checked once: each tau positive and finite,
+    then tau_hot >= tau_cold.  n_cold, n_hot, the hot contact's shift r_R - r_t =
+    (1/2) ln((n_hot + 1/2)/(n_cold + 1/2)) and carnot are derived on first read."""
+
+    tau_cold: float
+    tau_hot: float
+    n_cold = cached_property(lambda self: bose_einstein(self.tau_cold))
+    n_hot = cached_property(lambda self: bose_einstein(self.tau_hot))
+    shift = cached_property(lambda self: 0.5 * math.log((self.n_hot + 0.5) / (self.n_cold + 0.5)))
+    carnot = cached_property(lambda self: 1.0 - self.tau_cold / self.tau_hot)
+
+    def __post_init__(self):
+        check_temperature(self.tau_cold)
+        check_temperature(self.tau_hot)
+        if self.tau_hot < self.tau_cold:
+            raise ValueError(f"tau_hot ({self.tau_hot}) must be >= tau_cold ({self.tau_cold})")
 
 
 def tau_of_occupancy(n_th: float) -> float:

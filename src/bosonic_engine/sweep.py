@@ -27,7 +27,6 @@ from .cycles import (
     TRACE_STROKE_LABELS,
     CycleKind,
     EngineConfig,
-    carnot_efficiency,
     classify_regions,
     generalized_ledger,
     otto_efficiency,
@@ -38,7 +37,7 @@ from .cycles import (
 from .csvformat import Labels, write_csv
 from .dynamics import (TRAJECTORY_COLUMNS, BathSpec, MomentState, evolve, rk4_steps,
                        trajectory_columns)
-from .states import bose_einstein, classicality_grid
+from .states import Baths, bose_einstein, classicality_grid
 
 KINDS = tuple(kind.value for kind in CycleKind)
 
@@ -89,17 +88,16 @@ class SweepSpec:
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
-_FIELD_NAMES = tuple(_DEFAULTS)
 
 
 def build_spec(values: dict) -> SweepSpec:
     """Validate a key/value mapping into a SweepSpec, listing every violation."""
     problems = []
-    unknown = sorted(set(values) - set(_FIELD_NAMES))
+    unknown = sorted(set(values) - set(_DEFAULTS))
     if unknown:
         problems.append(f"unknown keys: {', '.join(unknown)}")
     merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in values.items() if k in _FIELD_NAMES})
+    merged.update({k: v for k, v in values.items() if k in _DEFAULTS})
 
     if "mode" not in values:
         problems.append("missing required key: mode")
@@ -167,11 +165,6 @@ def parse_config(text: str) -> SweepSpec:
     return build_spec(load_config(text))
 
 
-def serialize_spec(spec: SweepSpec) -> str:
-    """JSON document that round-trips through parse_config."""
-    return json.dumps(vars(spec), indent=2, sort_keys=True)
-
-
 def _occupancy_column(taus) -> np.ndarray:
     return np.array([[bose_einstein(tau)] for tau in taus])
 
@@ -193,10 +186,11 @@ def _otto_sweep(spec: SweepSpec) -> list[np.ndarray | Labels]:
 
 def _generalized_sweep(spec: SweepSpec) -> list[np.ndarray | Labels]:
     tc, th, grid = spec.tau_cold, spec.tau_hot, _grid(spec)
-    ledger = generalized_ledger(tc, th, grid)
-    carnot = carnot_efficiency(EngineConfig(tc, th, 0.0))
+    baths = Baths(tc, th)
+    ledger = generalized_ledger(baths, grid)
     return [grid, ledger.r[2], ledger.efficiency, printed_efficiency(tc, th, grid),
-            otto_efficiency(grid), np.full_like(grid, carnot), classify_regions(tc, th, grid)]
+            otto_efficiency(grid), np.full_like(grid, baths.carnot),
+            classify_regions(tc, th, grid)]
 
 
 def _cycle_trace(spec: SweepSpec) -> list[np.ndarray | Labels]:

@@ -28,7 +28,6 @@ from bosonic_engine.sweep import (
     build_spec,
     parse_config,
     run_sweep,
-    serialize_spec,
 )
 from textdiff import assert_equal_text
 
@@ -92,7 +91,7 @@ class TestParseConfig:
                 }
             )
         )
-        assert parse_config(serialize_spec(spec)) == spec
+        assert parse_config(json.dumps(vars(spec))) == spec
 
 
 def read_csv(path):

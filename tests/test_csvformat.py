@@ -332,6 +332,9 @@ class TestJsonRuns:
         assert_same_json_arrays([np.repeat(*zip(*array)) if array else np.array([])
                                  for array in runs])
 
+    def test_no_arrays(self):
+        assert json_items([]) == []
+
     def test_each_run_is_formatted_once(self, monkeypatch):
         sizes = []
 

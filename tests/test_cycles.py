@@ -27,6 +27,7 @@ from bosonic_engine import (
 )
 from bosonic_engine.cycles import (STROKES, TRACE_STROKE_LABELS, ClassicalityTrace, _raising,
                                    generalized_ledger, printed_efficiency)
+from bosonic_engine.states import Baths
 from textdiff import assert_equal_text
 
 N1 = bose_einstein(1.0)
@@ -309,13 +310,13 @@ GRID = np.linspace(0.0, 3.0, 5)
 ERROR_STATE_CALLS = {
     "run_otto": lambda: run_otto(otto_cfg(0.5)),
     "run_generalized": lambda: run_generalized(gen_cfg(0.5)),
-    "generalized_ledger": lambda: generalized_ledger(1.0, 2.0, GRID),
+    "generalized_ledger": lambda: generalized_ledger(Baths(1.0, 2.0), GRID),
     "generalized_r_hot": lambda: generalized_r_hot(gen_cfg(0.5)),
     "printed_efficiency": lambda: printed_efficiency(1.0, 2.0, GRID),
     "closed_form_terms": lambda: closed_form_terms(gen_cfg(0.5)),
     "otto_efficiency": lambda: otto_efficiency(GRID),
     "run_otto-overflow": lambda: run_otto(otto_cfg(400.0)),
-    "generalized_ledger-overflow": lambda: generalized_ledger(1.0, 2.0, [400.0]),
+    "generalized_ledger-overflow": lambda: generalized_ledger(Baths(1.0, 2.0), [400.0]),
 }
 
 

@@ -30,6 +30,7 @@ from bosonic_engine import (
 )
 from bosonic_engine.csvformat import Labels
 from bosonic_engine.cycles import REGIONS, _book, classify_regions, generalized_ledger
+from bosonic_engine.states import Baths
 from bosonic_engine.sweep import COLUMNS, MODES, _columns, build_spec
 
 mp.mp.dps = 50
@@ -116,27 +117,27 @@ class TestHotContactClosedForm:
     @pytest.mark.parametrize("tc,th", [(1.0, 2.0), (0.3, 1.4), (0.2, 1.0), (2.0, 10.0)])
     def test_matches_path_quadrature(self, tc, th):
         r_t = np.array([0.0, 0.05, 0.5, 1.3, 2.5])
-        ledger = generalized_ledger(tc, th, r_t)
+        ledger = generalized_ledger(Baths(tc, th), r_t)
         for k, rt in enumerate(r_t):
             work, heat = iso_classicality_quadrature(tc, th, float(rt))
             assert ledger.work_on[1, k] == pytest.approx(work, rel=1e-10)
             assert ledger.heat_in[1, k] == pytest.approx(heat, rel=1e-10)
 
     def test_equal_temperatures_book_nothing(self):
-        ledger = generalized_ledger(1.5, 1.5, np.linspace(0.0, 2.0, 5))
+        ledger = generalized_ledger(Baths(1.5, 1.5), np.linspace(0.0, 2.0, 5))
         assert np.all(ledger.work_on[1] == 0.0) and np.all(ledger.heat_in[1] == 0.0)
         assert np.all(ledger.efficiency == 0.0)
 
     def test_rejects_invalid_inputs(self):
         with pytest.raises(ValueError):
-            generalized_ledger(2.0, 1.0, [0.5])
+            generalized_ledger(Baths(2.0, 1.0), [0.5])
         with pytest.raises(ValueError):
-            generalized_ledger(1.0, 2.0, [0.5, -0.1])
+            generalized_ledger(Baths(1.0, 2.0), [0.5, -0.1])
 
 
 def test_kernel_and_run_generalized_bit_identical():
     grid = np.linspace(0.0, 3.0, 201)
-    ledger = generalized_ledger(1.0, 2.0, grid)
+    ledger = generalized_ledger(Baths(1.0, 2.0), grid)
     scalar = [run_generalized(EngineConfig(1.0, 2.0, float(r), CycleKind.GENERALIZED))
               for r in grid]
     assert ledger.efficiency.tolist() == [report.efficiency for report in scalar]
@@ -146,7 +147,7 @@ def test_kernel_and_run_generalized_bit_identical():
 @pytest.mark.parametrize("tc, th, r_t", [(1.0, 2.0, 0.5), (1.0, 1.000001, 40.0)])
 def test_first_law_gap_of_1e_8_of_the_energy_raises(tc, th, r_t):
     """The first law holds to 1e-9 of a stroke's larger end energy, not of its change."""
-    ledger = generalized_ledger(tc, th, [r_t])
+    ledger = generalized_ledger(Baths(tc, th), [r_t])
     energy = (ledger.n + 0.5) * np.cosh(2.0 * ledger.r)
     heat_in = ledger.heat_in.copy()
     heat_in[1] += 1e-8 * energy[2]

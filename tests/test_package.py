@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "covariance_of", "critical_squeezing", "evolve", "generalized_efficiency_closed_form",
     "generalized_r_hot", "internal_energy", "is_p_representable",
     "otto_efficiency", "parse_config", "piecewise_linear_path", "report_to_dict",
-    "report_to_json", "run_generalized", "run_otto", "run_sweep", "serialize_spec",
+    "report_to_json", "run_generalized", "run_otto", "run_sweep",
     "steady_state", "tau_of_occupancy", "work_heat_along", "write_trajectory_csv",
 ]
 

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from bosonic_engine import (
     CovarianceMatrix,
+    CycleKind,
+    EngineConfig,
     SqueezedThermalState,
     bose_einstein,
     classicality,
@@ -15,9 +17,9 @@ from bosonic_engine import (
     is_p_representable,
     tau_of_occupancy,
 )
-from bosonic_engine.cycles import _raising
+from bosonic_engine.cycles import _raising, generalized_ledger
 from bosonic_engine.dynamics import MomentState
-from bosonic_engine.states import SQUARE_ROUNDING, is_physical_nm, libm
+from bosonic_engine.states import SQUARE_ROUNDING, Baths, is_physical_nm, libm
 
 # Frozen from direct evaluation of 1/(e^{1/tau} - 1).
 N_TAU1 = 0.5819767068693265
@@ -171,6 +173,77 @@ class TestCriticalSqueezing:
         taus = np.linspace(0.1, 10.0, 60)
         rcs = [critical_squeezing(float(t)) for t in taus]
         assert all(b > a for a, b in zip(rcs, rcs[1:]))
+
+
+def _temperature_message(tau):
+    return f"temperature must be positive and finite, got tau={tau}"
+
+
+class TestBaths:
+    """The one check of the bath pair, with EngineConfig's former messages, and
+    the occupancies it derives."""
+
+    # An invalid pair and the one line EngineConfig gave for it: each tau in
+    # turn (the cold one first), then the order, with the numbers as given.
+    INVALID = [
+        ((0.0, 1.0), _temperature_message(0.0)),
+        ((-1.0, 1.0), _temperature_message(-1.0)),
+        ((math.nan, 1.0), _temperature_message(math.nan)),
+        ((math.inf, 1.0), _temperature_message(math.inf)),
+        ((-math.inf, 1.0), _temperature_message(-math.inf)),
+        ((1.0, 0.0), _temperature_message(0.0)),
+        ((1.0, -2.0), _temperature_message(-2.0)),
+        ((1.0, math.nan), _temperature_message(math.nan)),
+        ((1.0, math.inf), _temperature_message(math.inf)),
+        ((1.0, -math.inf), _temperature_message(-math.inf)),
+        ((-1.0, math.nan), _temperature_message(-1.0)),
+        ((math.nan, 0.0), _temperature_message(math.nan)),
+        ((math.inf, -math.inf), _temperature_message(math.inf)),
+        ((2.0, 1.0), "tau_hot (1.0) must be >= tau_cold (2.0)"),
+        ((2, 1), "tau_hot (1) must be >= tau_cold (2)"),
+        ((1e-3, 9.999999999999998e-4),
+         "tau_hot (0.0009999999999999998) must be >= tau_cold (0.001)"),
+    ]
+
+    @pytest.mark.parametrize("taus, message", INVALID)
+    def test_invalid_pair_gives_one_line(self, taus, message):
+        # EngineConfig checks the pair before r_work
+        for build in (lambda: Baths(*taus), lambda: EngineConfig(*taus, -0.5)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_occupancies_are_bose_einstein_bit_for_bit(self):
+        edge = 1 / 709.78                     # e^{1/tau} overflows just below it
+        taus = [1e-3, math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0), 1.0, 1e3]
+        rng = np.random.default_rng(21)
+        taus += np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 200)).tolist()
+        for tau in taus:
+            assert Baths(tau, 1e3).n_cold.hex() == bose_einstein(tau).hex()
+            assert Baths(1e-3, tau).n_hot.hex() == bose_einstein(tau).hex()
+
+    def test_shift_and_carnot(self):
+        baths = Baths(1.0, 2.0)
+        assert baths.shift == generalized_ledger(baths, [0.0]).r[2, 0]
+        assert baths.shift == pytest.approx(0.5 * math.log((N_TAU2 + 0.5) / (N_TAU1 + 0.5)))
+        assert baths.carnot == 0.5
+        assert Baths(1.5, 1.5).shift == 0.0 and Baths(1.5, 1.5).carnot == 0.0
+
+    def test_engine_config_keeps_its_fields(self):
+        cfg = EngineConfig(1.0, 2.0, 0.5, CycleKind.GENERALIZED)
+        assert cfg == EngineConfig(tau_cold=1.0, tau_hot=2.0, r_work=0.5,
+                                   kind=CycleKind.GENERALIZED)
+        assert cfg != EngineConfig(1.0, 2.0, 0.5)
+        assert hash(cfg) == hash((1.0, 2.0, 0.5, CycleKind.GENERALIZED))
+        assert repr(cfg) == ("EngineConfig(tau_cold=1.0, tau_hot=2.0, r_work=0.5, "
+                             "kind=<CycleKind.GENERALIZED: 'generalized'>)")
+        assert repr(EngineConfig(1, 2, 0)) == ("EngineConfig(tau_cold=1, tau_hot=2, r_work=0, "
+                                               "kind=<CycleKind.OTTO: 'otto'>)")
+        assert cfg.baths == Baths(1.0, 2.0)
+
+    def test_generalized_ledger_rejects_a_reversed_pair(self):
+        with pytest.raises(ValueError, match=r"^tau_hot \(1\.0\) must be >= tau_cold \(2\.0\)$"):
+            generalized_ledger(Baths(2.0, 1.0), [0.5])
 
 
 EPS = np.finfo(float).eps
