@@ -357,17 +357,17 @@ def _format_block(columns: list[np.ndarray | Labels]) -> bytes:
 
 
 def write_csv(fh, header: tuple[str, ...], columns: list[np.ndarray | Labels]) -> None:
-    """Write a header and one '\\n'-terminated line per row to the text file fh.
+    """Write a header and one '\\n'-terminated line per row to the binary file fh.
 
     Numbers are written as '%.15g' (the text of format(x, '.15g')), the
-    names of a :class:`Labels` column as they are; CSV_BLOCK_ROWS rows are
-    formatted at a time.
+    names of a :class:`Labels` column as their UTF-8 bytes; CSV_BLOCK_ROWS
+    rows are formatted at a time.
     """
-    fh.write(",".join(header))
+    fh.write(",".join(header).encode())
     rows = len(columns[0]) if columns else 0
     for start in range(0, rows, CSV_BLOCK_ROWS):
-        fh.write(_format_block([col[start:start + CSV_BLOCK_ROWS] for col in columns]).decode())
-    fh.write("\n")
+        fh.write(_format_block([col[start:start + CSV_BLOCK_ROWS] for col in columns]))
+    fh.write(b"\n")
 
 
 def _shortest_digits(x: np.ndarray):

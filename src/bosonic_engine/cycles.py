@@ -321,8 +321,7 @@ def generalized_ledger(baths: Baths, r_t) -> Ledger:
 
 _TRACE_U = np.linspace(0.0, 1.0, TRACE_POINTS_PER_STROKE)
 _TRACE_U.flags.writeable = False  # shared by every trace
-_TRACE_STROKES = tuple(label for label in STROKES for _ in _TRACE_U)
-# The same strokes as a CSV label column.
+# The stroke of each trace point, as a CSV label column.
 TRACE_STROKE_LABELS = Labels(np.repeat(np.arange(len(STROKES), dtype=np.uint8), _TRACE_U.size),
                              STROKES)
 TRACE_STROKE_LABELS.codes.flags.writeable = False
@@ -422,7 +421,7 @@ def report_to_dict(report: CycleReport) -> dict:
     """JSON-ready dictionary with stable field names."""
     trace = report.classicality_trace
     return _report_dict(report, {
-        "stroke": list(_TRACE_STROKES),
+        "stroke": [STROKES[c] for c in TRACE_STROKE_LABELS.codes.tolist()],
         "r": trace.r.tolist(),
         "n": trace.n.tolist(),
         "classicality": trace.c.tolist(),
@@ -430,7 +429,7 @@ def report_to_dict(report: CycleReport) -> dict:
 
 
 # The JSON list of the shared trace labels.
-_TRACE_STROKES_JSON = json.dumps(list(_TRACE_STROKES))
+_TRACE_STROKES_JSON = json.dumps([STROKES[c] for c in TRACE_STROKE_LABELS.codes.tolist()])
 
 
 def report_to_json(report: CycleReport) -> str:

@@ -179,5 +179,5 @@ def trajectory_columns(trajectory: MomentTrajectory) -> list[np.ndarray]:
 
 def write_trajectory_csv(trajectory: MomentTrajectory, path) -> None:
     """Write a trajectory as CSV: time, n, m, classicality, energy."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         write_csv(fh, TRAJECTORY_COLUMNS, trajectory_columns(trajectory))

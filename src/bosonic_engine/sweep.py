@@ -257,7 +257,7 @@ def run_sweep(spec: SweepSpec) -> str:
     manifest_path = path + ".manifest.json"
     tmp_csv, tmp_manifest = path + ".tmp", manifest_path + ".tmp"
     try:
-        with open(tmp_csv, "w", newline="") as fh:
+        with open(tmp_csv, "wb") as fh:
             write_csv(fh, COLUMNS[spec.mode], columns)
         written = time.monotonic()
         manifest = {
@@ -270,8 +270,8 @@ def run_sweep(spec: SweepSpec) -> str:
             "duration_seconds": written - started,
             "phase_seconds": {"compute": computed - started, "write": written - computed},
         }
-        with open(tmp_manifest, "w") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with open(tmp_manifest, "wb") as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True).encode() + b"\n")
         os.replace(tmp_csv, path)
         tmp_csv = path  # the CSV is in place; a failed manifest rename removes it
         os.replace(tmp_manifest, manifest_path)

@@ -541,6 +541,17 @@ class TestNumericEdges:
             "near.csv", "near.csv.manifest.json"]
 
 
+# A sweep whose CSV has a non-ASCII header name and Labels name.
+NON_ASCII_LABELS = """
+import numpy as np
+from bosonic_engine import sweep
+from bosonic_engine.csvformat import Labels
+sweep.COLUMNS["relaxation"] = ("t", "stroke\\u00b7name")
+sweep._columns = lambda spec: [np.array([0.0, 0.5]),
+                               Labels(np.array([1, 0]), ("squeeze", "chaud\\u2013froid"))]
+sweep.run_sweep(sweep.build_spec({"mode": "relaxation", "output_path": "u.csv"}))
+"""
+
 SMALL_SPECS = {
     "classicality-curve": {"points": 7},
     "otto-sweep": {"points": 7},
@@ -571,6 +582,24 @@ class TestOutputFormat:
         direct = tmp_path / "direct.csv"
         write_trajectory_csv(traj, direct)
         assert_equal_text(out.read_bytes(), direct.read_bytes())
+
+    def test_files_are_the_bytes_of_their_text(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        run_sweep(build_spec({"mode": "cycle-trace", **SMALL_SPECS["cycle-trace"],
+                              "output_path": str(out)}))
+        raw = (tmp_path / "trace.csv.manifest.json").read_bytes()
+        assert b"\r" not in out.read_bytes() and b"\r" not in raw
+        assert raw == json.dumps(json.loads(raw), indent=2, sort_keys=True).encode() + b"\n"
+
+    def test_labels_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # In the C locale with UTF-8 mode off, a text-mode file encodes as ASCII.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LC_ALL="C",
+                   PYTHONUTF8="0")
+        run = subprocess.run([sys.executable, "-c", NON_ASCII_LABELS], env=env, cwd=tmp_path,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "u.csv").read_bytes() == \
+            "t,stroke·name\n0,chaud–froid\n0.5,squeeze\n".encode()
 
     def test_subcommand_flags_unchanged(self):
         expected = {

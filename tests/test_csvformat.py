@@ -39,9 +39,9 @@ def labels(texts) -> Labels:
 
 
 def block_csv(header, columns) -> str:
-    fh = io.StringIO()
+    fh = io.BytesIO()
     write_csv(fh, header, columns)
-    return fh.getvalue()
+    return fh.getvalue().decode()
 
 
 def assert_same_text(columns):

@@ -156,6 +156,21 @@ def test_first_law_gap_of_1e_8_of_the_energy_raises(tc, th, r_t):
         _book(ledger.n, ledger.r, ledger.work_on, heat_in)
 
 
+def test_closure_gap_below_every_stroke_tolerance_raises():
+    """Four strokes each 5e-4 off, inside 1e-9 of their energy 1e6, close only to 2e-3."""
+    n, r = np.full((5, 1), 1e6), np.zeros((5, 1))
+    with pytest.raises(CycleConsistencyError, match=r"^cycle energy closure off by 2\.000e-03$"):
+        _book(n, r, np.full((4, 1), 5e-4), np.zeros((4, 1)))
+
+
+def test_open_cycle_raises():
+    """The last vertex 1e-9 away from the first, each stroke's heat booked to match."""
+    n = np.array([[1.0], [1.0], [2.0], [2.0], [1.0 + 1e-9]])
+    r = np.zeros((5, 1))
+    with pytest.raises(CycleConsistencyError, match="^cycle did not return to its initial state$"):
+        _book(n, r, np.zeros((4, 1)), np.diff(n + 0.5, axis=0))
+
+
 def region_rule(tau_cold, tau_hot, r) -> str:
     """The region label of one squeezing, one comparison at a time."""
     rc_cold, rc_hot = critical_squeezing(tau_cold), critical_squeezing(tau_hot)
